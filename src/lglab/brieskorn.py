@@ -205,10 +205,6 @@ class USeriesPV:
                         other.order, other.names)
         return self + neg
 
-    def shift(self, by: int) -> "USeriesPV":
-        return USeriesPV({k + by: v for k, v in self.coeffs.items()},
-                         self.order, self.names)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

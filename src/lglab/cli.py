@@ -215,8 +215,8 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("truncation orders must be nonnegative")
     if merged["tol"] <= 0:
         raise UsageError("tolerance must be positive")
-    if merged["grid"] < 2:
-        raise UsageError("grid needs at least two points per axis")
+    if merged["grid"] < 17 or merged["grid"] % 2 == 0:
+        raise UsageError("grid needs an odd point count of at least 17 per axis")
     if merged["radius"] <= 0:
         raise UsageError("grid half-width must be positive")
     return RunConfig(command=ns.command, explicit=frozenset(explicit),

@@ -4,8 +4,10 @@ Pipeline: unfold f over its Milnor basis, multiply and take residues in
 the family (order by order in the deformation parameters), flatten the
 residue metric by an order-by-order polynomial coordinate change, lower
 and pull back the structure constants, and integrate them to a potential
-whose third derivatives reproduce them.  Associativity of the family
-product then appears as the vanishing of the WDVV residual.
+whose third derivatives reproduce them.  Each order of the flattening
+solves d_a sigma_b + d_b sigma_a = S_ab in closed form (Euler's identity)
+and checks the solution against S exactly before using it.  Associativity
+of the family product then appears as the vanishing of the WDVV residual.
 
 Everything is exact rational arithmetic on truncated multivariate
 series; no floating point enters.
@@ -27,7 +29,8 @@ from fractions import Fraction
 
 from .groebner import MilnorRing, milnor_ring
 from .poly import Monomial, Polynomial
-from .util import ComputeError, PrecondError, exact_rank, frac_str, invert_exact, rref
+from .util import (ComputeError, PrecondError, cofactor_det, exact_rank, frac_str,
+                   invert_exact)
 
 # -- truncated series utilities over the deformation parameters -----------------
 
@@ -213,23 +216,8 @@ def family_residue(U: Unfolding, g, nt: int,
 def _family_hessian(U: Unfolding, nt: int) -> TPoly:
     F = U.family(nt)
     n = len(U.f.names)
-    H = [[F.zdiff(i).zdiff(j) for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return H[rows[0]][cols[0]]
-        total = None
-        r0 = rows[0]
-        for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = H[r0][c] * minor
-            if k % 2:
-                term = TPoly({m: p * Fraction(-1) for m, p in term.terms.items()},
-                             term.nt, term.tnames, term.znames)
-            total = term if total is None else total + term
-        return total
-
-    return det(list(range(n)), list(range(n)))
+    return cofactor_det([[F.zdiff(i).zdiff(j) for j in range(n)]
+                         for i in range(n)])
 
 
 def family_multiplication(U: Unfolding, nt: int) -> list[list[list[Polynomial]]]:
@@ -308,50 +296,38 @@ class FrobeniusData:
         }
 
 
-def _solve_symmetric_gradient(S: list[list[Polynomial]], k: int,
-                              snames: tuple[str, ...]) -> list[Polynomial]:
+def _integrate_symmetric_gradient(S: list[list[Polynomial]],
+                                  k: int) -> list[Polynomial]:
     """Solve d_a sigma_b + d_b sigma_a = S_ab for sigma of homogeneous
-    degree k+1, where S is symmetric with homogeneous degree-k entries.
+    degree k+1 >= 2, where S is symmetric with homogeneous degree-k entries.
+
+    Differentiating the equation gives 2 d_a d_b sigma_c =
+    d_a S_bc + d_b S_ac - d_c S_ab, and Euler's identity for homogeneous
+    sigma turns that into the closed form
+
+        sigma_c = 1/(2k(k+1)) sum_{a,b} s_a s_b (d_a S_bc + d_b S_ac - d_c S_ab)
+                = P_c / k - d_c Q / (2k(k+1)),
+
+    with P_c = sum_a s_a S_ac and Q = sum_a s_a P_a (Euler once more, on S).
     The solution is unique (no polynomial Killing fields of degree >= 2
-    for the constant metric); raises if the system is inconsistent."""
-    mu = len(snames)
-    monos_k1 = [m for m in itertools.product(range(k + 2), repeat=mu)
-                if sum(m) == k + 1]
-    monos_k = [m for m in itertools.product(range(k + 1), repeat=mu)
-               if sum(m) == k]
-    cols = [(b, m) for b in range(mu) for m in monos_k1]
-    col_index = {cm: i for i, cm in enumerate(cols)}
-    rows = []
-    rhs = []
+    for the constant metric); it exists only when S satisfies the
+    Saint-Venant compatibility condition, which the exact check of the
+    result against S decides.
+    """
+    mu = len(S)
+    snames = S[0][0].names
+    s = [Polynomial.variable(a, snames) for a in range(mu)]
+    P = [sum((s[a] * S[a][c] for a in range(mu)), Polynomial.zero(snames))
+         for c in range(mu)]
+    Q = sum((s[c] * P[c] for c in range(mu)), Polynomial.zero(snames))
+    sigma = [P[c] * Fraction(1, k) - Q.diff(c) * Fraction(1, 2 * k * (k + 1))
+             for c in range(mu)]
     for a in range(mu):
         for b in range(a, mu):
-            for m in monos_k:
-                row = [Fraction(0)] * len(cols)
-                # d_a sigma_b contributes coeff(m + e_a) * (m_a + 1)
-                ma = tuple(e + (1 if i == a else 0) for i, e in enumerate(m))
-                row[col_index[(b, ma)]] += Fraction(m[a] + 1)
-                mb = tuple(e + (1 if i == b else 0) for i, e in enumerate(m))
-                row[col_index[(a, mb)]] += Fraction(m[b] + 1)
-                rows.append(row)
-                rhs.append(S[a][b].coeffs.get(m, Fraction(0)))
-    aug = [row + [r] for row, r in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(cols)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            raise ComputeError(
-                f"metric flattening obstructed at degree {k}: "
-                "symmetrized gradient system is inconsistent")
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        if col == ncols:
-            raise ComputeError("metric flattening obstructed: inconsistent row")
-        sol[col] = red[i][-1]
-    sigma = []
-    for b in range(mu):
-        coeffs = {m: sol[col_index[(b, m)]] for m in monos_k1
-                  if sol[col_index[(b, m)]] != 0}
-        sigma.append(Polynomial(coeffs, snames))
+            if sigma[b].diff(a) + sigma[a].diff(b) != S[a][b]:
+                raise ComputeError(
+                    f"metric flattening obstructed at degree {k}: "
+                    "symmetrized gradient system is inconsistent")
     return sigma
 
 
@@ -396,7 +372,7 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
         if all(S[a][b].is_zero() for a in range(mu) for b in range(mu)):
             continue
         negS = [[S[a][b] * Fraction(-1) for b in range(mu)] for a in range(mu)]
-        sigma = _solve_symmetric_gradient(negS, k, snames)
+        sigma = _integrate_symmetric_gradient(negS, k)
         # raise indices: h^p = sum_b inv_eta[p][b] sigma_b
         for p in range(mu):
             h = Polynomial.zero(snames)

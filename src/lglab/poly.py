@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .util import cofactor_det, rref
+
 Monomial = tuple[int, ...]
 
 
@@ -32,15 +34,6 @@ class PolyError(ValueError):
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    """a | b in the ordinary (non-Laurent) sense."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 class Polynomial:
@@ -435,62 +428,21 @@ def infer_weights(f: Polynomial) -> WeightSystem | None:
     linear system is inconsistent, underdetermined, or lands outside that
     range.  Exact Gaussian elimination over Fraction.
     """
-    rows = [list(map(Fraction, m)) + [Fraction(1)] for m in f.coeffs]
-    if not rows:
+    if f.is_zero():
         return None
     n = f.nvars
-    # eliminate
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for k in range(r, len(rows)):
-            if rows[k][col] != 0:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = Fraction(1) / pr[col]
-        rows[r] = [x * inv for x in pr]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                fac = rows[k][col]
-                rows[k] = [a - fac * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    # inconsistency: zero row with nonzero rhs
-    for row in rows[r:]:
-        if any(x != 0 for x in row[:-1]):
-            continue
-        if row[-1] != 0:
-            return None
-    if len(pivots) < n:
-        return None  # not unique
-    q = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        q[col] = rows[i][-1]
+    red, pivots = rref([list(map(Fraction, m)) + [Fraction(1)] for m in f.coeffs])
+    # a pivot in the right-hand column is an inconsistency, a missing one a
+    # free weight: either way there is no unique solution
+    if pivots != list(range(n)):
+        return None
     try:
-        return WeightSystem(tuple(q))
+        return WeightSystem(tuple(red[i][n] for i in range(n)))
     except PolyError:
         return None
 
 
 def hessian_det(f: Polynomial) -> Polynomial:
     """Determinant of the matrix of second partials, by cofactor expansion."""
-    n = f.nvars
-    H = [[f.diff(i).diff(j) for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return H[rows[0]][cols[0]]
-        total = Polynomial.zero(f.names, f.mode)
-        r0 = rows[0]
-        for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = H[r0][c] * minor
-            total = total + (term if k % 2 == 0 else -term)
-        return total
-
-    return det(list(range(n)), list(range(n)))
+    return cofactor_det([[f.diff(i).diff(j) for j in range(f.nvars)]
+                         for i in range(f.nvars)])

@@ -77,19 +77,6 @@ class DiscreteForm:
     def __neg__(self) -> "DiscreteForm":
         return DiscreteForm(self.grid, -self.comps)
 
-    def degree_part(self, degree: int) -> "DiscreteForm":
-        out = DiscreteForm(self.grid)
-        for i in DEGREE_SECTORS[degree]:
-            out.comps[i] = self.comps[i]
-        return out
-
-    def scale_by_type(self, factors) -> "DiscreteForm":
-        """Multiply each component by a constant (e.g. 2^{-p} rescalings)."""
-        out = self.copy()
-        for i in range(4):
-            out.comps[i] *= factors[i]
-        return out
-
     def multiply_pointwise(self, field: np.ndarray) -> "DiscreteForm":
         return DiscreteForm(self.grid, self.comps * field[None, :, :])
 

@@ -94,7 +94,6 @@ _FLAVORS = {
     "partial_mf": (True, False, None, "-fbp"),
     "d_f": (True, True, "fp", None),
     "d_2Ref": (True, True, "fp", "fbp"),
-    "d_Ref": (True, True, "fp/2", "fbp/2"),
 }
 
 
@@ -142,7 +141,7 @@ class Operators:
         if spec is None:
             return None
         return {"fp": self.fp, "fp/2": self.fp / 2, "fbp": self.fbp,
-                "-fbp": -self.fbp, "fbp/2": self.fbp / 2}[spec]
+                "-fbp": -self.fbp}[spec]
 
     # -- 1D derivative applications -----------------------------------------
 
@@ -230,8 +229,6 @@ class Operators:
             return self.diff(kind, a)
         if kind.endswith("_star") and kind[:-5] in _FLAVORS:
             return self.diff_adjoint(kind[:-5], a)
-        if kind == "df_wedge_adjoint":
-            return self.diff_adjoint("df_wedge", a)
         if kind == "laplacian_f":
             return self.laplacian("dbar_f", a)
         if kind == "laplacian_2Ref":

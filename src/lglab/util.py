@@ -74,14 +74,27 @@ def solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | 
     return x
 
 
+def cofactor_det(M):
+    """Determinant of a square matrix over any commutative ring whose
+    elements support + - *, by cofactor expansion along the first row."""
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return M[rows[0]][cols[0]]
+        total = None
+        for k, c in enumerate(cols):
+            term = M[rows[0]][c] * det(rows[1:], cols[:k] + cols[k + 1:])
+            total = term if total is None else (total - term if k % 2 else total + term)
+        return total
+
+    n = len(M)
+    return det(list(range(n)), list(range(n)))
+
+
 def frac_str(x: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q'."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def jsonable(obj):

@@ -89,9 +89,10 @@ def test_laurent_spectrum_fails_the_precondition(capsys):
     capsys.readouterr()
 
 
-def test_too_coarse_grid_fails_the_precondition(capsys):
-    assert main(["spectrum", "z^2/2", "--grid", "16"]) == 3
-    capsys.readouterr()
+@pytest.mark.parametrize("points", ["16", "34", "15"])
+def test_bad_grid_is_a_usage_error(points, capsys):
+    assert main(["spectrum", "z^2/2", "--grid", points]) == 2
+    assert "odd point count" in capsys.readouterr().err
 
 
 # -- subcommand reports --------------------------------------------------------------

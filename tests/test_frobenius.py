@@ -1,12 +1,16 @@
 """Deformed multiplication, family residues, flat coordinates, potentials."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab.frobenius import (
     TPoly,
+    _integrate_symmetric_gradient,
     build_flat_potential,
     family_metric,
     family_multiplication,
@@ -222,6 +226,32 @@ def test_quartic_flat_coordinate_change():
     for a in range(3):
         comp = truncate(D.t_of_s[a].subs(D.s_of_t), 5)
         assert comp == Polynomial.variable(a, D.unfolding.tnames)
+
+
+def test_flattening_obstruction_is_reported():
+    # S_00 = s1^2 violates Saint-Venant compatibility: no sigma exists
+    names = ("s0", "s1")
+    zero = Polynomial.zero(names)
+    S = [[parse_polynomial("s1^2", names), zero], [zero, zero]]
+    with pytest.raises(ComputeError, match="obstructed at degree 2"):
+        _integrate_symmetric_gradient(S, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_form_flattening_inverts_the_symmetrized_gradient(data):
+    mu = data.draw(st.integers(2, 4), label="mu")
+    k = data.draw(st.integers(1, 3), label="k")
+    names = tuple(f"s{a}" for a in range(mu))
+    monos = [m for m in itertools.product(range(k + 2), repeat=mu)
+             if sum(m) == k + 1]
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=4),
+                      min_size=len(monos), max_size=len(monos))
+    sigma = [Polynomial(dict(zip(monos, data.draw(coeffs))), names)
+             for _ in range(mu)]
+    S = [[sigma[b].diff(a) + sigma[a].diff(b) for b in range(mu)]
+         for a in range(mu)]
+    assert _integrate_symmetric_gradient(S, k) == sigma
 
 
 def test_coordinate_change_is_tangent_to_identity():

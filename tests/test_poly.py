@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab.poly import (
     Polynomial,
@@ -122,6 +125,37 @@ class TestWeights:
     def test_underdetermined_returns_none(self):
         f = P("x^2", names=["x", "y"])
         assert infer_weights(f) is None
+
+    @staticmethod
+    def _brieskorn_pham(data, exps):
+        """sum x_i^a_i plus a random choice of other monomials of weighted
+        degree 1 for the weights 1/a_i, all with random nonzero coefficients."""
+        n = len(exps)
+        pure = [tuple(a if j == i else 0 for j in range(n))
+                for i, a in enumerate(exps)]
+        extra = [m for m in itertools.product(*(range(a + 1) for a in exps))
+                 if sum(Fraction(e, a) for e, a in zip(m, exps)) == 1
+                 and m not in pure]
+        chosen = data.draw(st.lists(st.sampled_from(extra), unique=True)
+                           if extra else st.just([]), label="extra")
+        coeff = st.integers(-5, 5).filter(bool)
+        return {m: data.draw(coeff) for m in pure + chosen}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=4), st.data())
+    def test_brieskorn_pham_weights_are_reciprocal_exponents(self, exps, data):
+        names = tuple(f"x{i}" for i in range(len(exps)))
+        f = Polynomial(self._brieskorn_pham(data, exps), names)
+        assert infer_weights(f) == WeightSystem(
+            tuple(Fraction(1, a) for a in exps))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=3), st.data())
+    def test_variable_missing_from_support_returns_none(self, exps, data):
+        names = tuple(f"x{i}" for i in range(len(exps))) + ("y",)
+        coeffs = {m + (0,): c
+                  for m, c in self._brieskorn_pham(data, exps).items()}
+        assert infer_weights(Polynomial(coeffs, names)) is None
 
     def test_degree(self):
         w = WeightSystem((Fraction(1, 3), Fraction(2, 9)))
