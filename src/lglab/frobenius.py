@@ -476,24 +476,37 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
 
 def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
     """Max absolute coefficient of the associativity residual
-    sum_{e,f} F_abe eta^{ef} F_fcd - (b <-> c), truncated in t-order."""
+    sum_{e,f} F_abe eta^{ef} F_fcd - (b <-> c), truncated in t-order.
+
+    F_abc is symmetric in its three indices and eta^{ef} in its two, so the
+    contraction C(ab, cd) is unchanged by a <-> b, c <-> d and ab <-> cd:
+    each third derivative is built once per sorted triple and each
+    contraction once per class {sorted(a, b), sorted(c, d)}.
+    """
     nt = D.nt if nt is None else nt
     mu = D.unfolding.mu
     inv = invert_exact(D.eta0)
     third = {}
-    for a in range(mu):
-        for b in range(mu):
-            for c in range(mu):
-                third[(a, b, c)] = truncate(D.potential.diff(a).diff(b).diff(c), nt)
+    for a, b, c in itertools.combinations_with_replacement(range(mu), 3):
+        third[(a, b, c)] = truncate(D.potential.diff(a).diff(b).diff(c), nt)
+
+    def F(a, b, c):
+        return third[tuple(sorted((a, b, c)))]
+
+    contractions = {}
 
     def contract(a, b, c, d):
+        key = tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
+        if key in contractions:
+            return contractions[key]
         acc = Polynomial.zero(D.potential.names)
         for e in range(mu):
             for f_ in range(mu):
                 if inv[e][f_] == 0:
                     continue
-                term = third[(a, b, e)] * third[(f_, c, d)] * inv[e][f_]
+                term = F(a, b, e) * F(f_, c, d) * inv[e][f_]
                 acc = acc + truncate(term, nt)
+        contractions[key] = acc
         return acc
 
     worst = Fraction(0)

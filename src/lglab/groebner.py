@@ -166,10 +166,11 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
         ti = Polynomial.monomial(_quot(lcm, lmi), Fraction(1) / lci, names, mode)
         tj = Polynomial.monomial(_quot(lcm, lmj), Fraction(1) / lcj, names, mode)
         s = ti * basis[i] - tj * basis[j]
-        cof_s = [ti * a - tj * b for a, b in zip(cofs[i], cofs[j])]
         qs, r = divide(s, basis, order)
         if r.is_zero():
             continue
+        # most S-polynomials reduce to zero: form cofactors only for the rest
+        cof_s = [ti * a - tj * b for a, b in zip(cofs[i], cofs[j])]
         for k, q in enumerate(qs):
             if not q.is_zero():
                 cof_s = [a - q * b for a, b in zip(cof_s, cofs[k])]

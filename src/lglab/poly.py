@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .util import cofactor_det, rref
@@ -33,11 +34,19 @@ class PolyError(ValueError):
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial over Fraction."""
+    """Immutable-by-convention sparse polynomial over Fraction.
+
+    Canonical form: ``coeffs`` maps int tuples of length ``nvars`` to
+    nonzero Fractions, with no negative exponent in ``"poly"`` mode.  The
+    public constructor validates and normalizes any mapping into that
+    form; the arithmetic operators combine operands that already are in
+    it, so they build their results through ``_trusted`` and only drop
+    the coefficients that cancel.
+    """
 
     __slots__ = ("coeffs", "names", "mode")
 
@@ -59,6 +68,17 @@ class Polynomial:
         self.coeffs = {m: c for m, c in clean.items() if c != 0}
         self.names = tuple(names)
         self.mode = mode
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[Monomial, Fraction], names: tuple[str, ...],
+                 mode: str) -> "Polynomial":
+        """Wrap a dict that is already in canonical form, without copying
+        or checking it."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        p.names = names
+        p.mode = mode
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -95,9 +115,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.coeffs.get(tuple(0 for _ in self.names), Fraction(0))
 
-    def _like(self, coeffs) -> "Polynomial":
-        return Polynomial(coeffs, self.names, self.mode)
-
     def _check_compat(self, other: "Polynomial") -> str:
         if self.names != other.names:
             raise PolyError("mixing polynomials over different variable tuples")
@@ -109,14 +126,22 @@ class Polynomial:
         mode = self._check_compat(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out, self.names, mode)
+            if m in out:
+                c += out[m]
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+            else:
+                out[m] = c
+        return Polynomial._trusted(out, self.names, mode)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.coeffs.items()})
+        return Polynomial._trusted({m: -c for m, c in self.coeffs.items()},
+                                   self.names, self.mode)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -129,14 +154,21 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return self._like({m: c * v for m, v in self.coeffs.items()})
+            out = {m: c * v for m, v in self.coeffs.items()} if c else {}
+            return Polynomial._trusted(out, self.names, self.mode)
         mode = self._check_compat(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(out, self.names, mode)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+        # filtering once at the end keeps the insertion order of the
+        # surviving monomials independent of transient cancellations
+        return Polynomial._trusted({m: c for m, c in out.items() if c},
+                                   self.names, mode)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -168,19 +200,19 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i."""
+        # m -> m - e_i is injective and a poly-mode term with m[i] > 0 keeps
+        # its exponents nonnegative, so the result is canonical as built
         out: dict[Monomial, Fraction] = {}
         for m, c in self.coeffs.items():
             e = m[i]
-            if e == 0:
-                continue
-            mm = tuple(x - 1 if j == i else x for j, x in enumerate(m))
-            out[mm] = out.get(mm, Fraction(0)) + c * e
-        mode = self.mode if all(e >= 0 for mm in out for e in mm) or self.mode == "laurent" else "laurent"
-        return Polynomial(out, self.names, mode)
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return Polynomial._trusted(out, self.names, self.mode)
 
     def theta(self, i: int) -> "Polynomial":
         """Logarithmic derivative z_i * d/dz_i (exponent-preserving)."""
-        return self._like({m: c * m[i] for m, c in self.coeffs.items() if m[i] != 0})
+        return Polynomial._trusted({m: c * m[i] for m, c in self.coeffs.items() if m[i]},
+                                   self.names, self.mode)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.diff(i) for i in range(self.nvars)]

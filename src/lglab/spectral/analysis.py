@@ -51,7 +51,11 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
 
 
 def _lowest_pairs(M, k: int, seed: int, dense: bool):
-    """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending)."""
+    """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending).
+
+    Returns (vals, vecs, residuals, wanted): ``wanted`` is k clamped to the
+    matrix size; fewer than ``wanted`` pairs come back when ARPACK stops
+    short of convergence."""
     n = M.shape[0]
     if dense:
         k = min(k, n - 1)
@@ -81,7 +85,7 @@ def _lowest_pairs(M, k: int, seed: int, dense: bool):
                                     v0=v0, tol=1e-12, maxiter=1000)
         except spla.ArpackNoConvergence as exc:
             # clustered spectra (e.g. vanishing twist) may stall; keep
-            # whatever pairs did converge
+            # whatever pairs did converge and let the caller see the count
             vals, vecs = exc.eigenvalues, exc.eigenvectors
             if vals.size == 0:
                 raise ComputeError(
@@ -102,7 +106,7 @@ def _lowest_pairs(M, k: int, seed: int, dense: bool):
     Mv = M @ vecs
     for j in range(vecs.shape[1]):
         res.append(float(np.linalg.norm(Mv[:, j] - vals[j] * vecs[:, j])))
-    return np.maximum(vals, 0.0), vecs, res
+    return np.maximum(vals, 0.0), vecs, res, k
 
 
 @dataclass
@@ -150,12 +154,19 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                       operators: Operators | None = None) -> SpectralResult:
     ops = operators if operators is not None else Operators(grid, f, backend)
     M = ops.laplacian_matrix(flavor, degree)
-    vals, vecs, res = _lowest_pairs(M, k, seed, dense=(backend == "spectral"))
+    vals, vecs, res, wanted = _lowest_pairs(M, k, seed,
+                                            dense=(backend == "spectral"))
     vals_list = [float(v) for v in vals]
     notes: list[str] = []
 
     kernel_dim = int(np.sum(vals < gap_threshold))
     certified = True
+    if len(vals_list) < wanted:
+        # a gap seen among the pairs that did converge says nothing about
+        # the ones that did not
+        certified = False
+        notes.append(f"only {len(vals_list)} of {wanted} requested pairs "
+                     "converged; kernel count not certified")
     if kernel_dim == len(vals_list) and kernel_dim > 0:
         certified = False
         notes.append("all computed eigenvalues sit below the threshold; "

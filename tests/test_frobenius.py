@@ -23,7 +23,7 @@ from lglab.frobenius import (
 )
 from lglab.groebner import milnor_ring
 from lglab.poly import Polynomial, parse_polynomial
-from lglab.util import ComputeError, PrecondError
+from lglab.util import ComputeError, PrecondError, invert_exact
 
 
 def unfold(src: str, names=None):
@@ -340,3 +340,34 @@ def test_wdvv_detects_a_broken_potential():
     D = build_flat_potential(unfold("z^4/4"), nt=5)
     D.potential = D.potential + parse_polynomial("s1^2*s2^3", ("s0", "s1", "s2"))
     assert wdvv_residual(D, 5) != 0
+
+
+def _plain_wdvv_residual(D, nt):
+    """The associativity residual with every index written out: no symmetry
+    of F_abc or eta^{ef} is used."""
+    mu = D.unfolding.mu
+    inv = invert_exact(D.eta0)
+    idx = range(mu)
+    F = {t: truncate(D.potential.diff(t[0]).diff(t[1]).diff(t[2]), nt)
+         for t in itertools.product(idx, repeat=3)}
+    worst = Fraction(0)
+    for a, b, c, d in itertools.product(idx, repeat=4):
+        res = Polynomial.zero(D.potential.names)
+        for e, f_ in itertools.product(idx, repeat=2):
+            res = res + (F[a, b, e] * F[f_, c, d]
+                         - F[a, c, e] * F[f_, b, d]) * inv[e][f_]
+        for v in truncate(res, nt).coeffs.values():
+            worst = max(worst, abs(v))
+    return worst
+
+
+def test_wdvv_residual_matches_the_all_index_contraction():
+    D = build_flat_potential(unfold("x^2*y+y^4", ("x", "y")), nt=2)
+    flat = D.potential
+    assert wdvv_residual(D, 2) == _plain_wdvv_residual(D, 2) == 0
+    # each breaks associativity only through terms with mixed indices
+    for extra in ("s0*s1^2*s3", "s1*s2*s3*s4"):
+        D.potential = flat + parse_polynomial(extra, flat.names)
+        broken = wdvv_residual(D, 2)
+        assert broken != 0
+        assert broken == _plain_wdvv_residual(D, 2)

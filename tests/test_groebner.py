@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab.groebner import divide, groebner_basis, milnor_ring
 from lglab.poly import Polynomial, parse_polynomial
@@ -165,3 +168,47 @@ class TestMilnorRing:
             f = P(text, names)
             R = milnor_ring(f)
             assert R.residue(hessian_det(f)) == R.mu
+
+
+class TestFourVariableCertificates:
+    """elements[k] == sum_i cofactors[k][i] * d_i f, exactly, on the rings
+    where eager cofactor products used to blow up."""
+
+    @staticmethod
+    def _assert_certified(text, mu):
+        names = ("x", "y", "w", "v")
+        f = P(text, names)
+        R = milnor_ring(f)
+        assert R.mu == mu
+        grads = f.gradient()
+        for e, row in zip(R.gb.elements, R.gb.cofactors):
+            recon = Polynomial.zero(names)
+            for c, g in zip(row, grads):
+                recon = recon + c * g
+            assert recon == e
+
+    def test_mu_35(self):
+        self._assert_certified("x^3+y^3+w^3+v^2+x*y*w*v", 35)
+
+    def test_mu_43(self):
+        self._assert_certified("x^3+y^3+w^3+v^3+x*y*w*v", 43)
+
+
+@functools.cache
+def _ring14():
+    return milnor_ring(P("x^3+y^3+w^3+x*y*w+x^2*y^2", ("x", "y", "w")))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                       st.fractions(-9, 9, max_denominator=4), max_size=5))
+def test_reduction_certificate_holds_on_random_inputs(coeffs):
+    R = _ring14()
+    assert R.mu == 14
+    g = Polynomial(coeffs, R.f.names)
+    r, a = R.reduce_with_quotients(g)
+    recon = r
+    for ai, gi in zip(a, R.f.gradient()):
+        recon = recon + ai * gi
+    assert recon == g
+    assert all(m in R.basis for m in r.coeffs)

@@ -175,3 +175,56 @@ class TestHessian:
     def test_fermat(self):
         f = P("x^3 + y^3", names=["x", "y"])
         assert hessian_det(f) == P("36*x*y", names=["x", "y"])
+
+
+# -- canonical form of arithmetic results -------------------------------------
+
+_MODES = {"poly": st.integers(0, 3), "laurent": st.integers(-3, 3)}
+_SCALARS = st.one_of(st.integers(-4, 4),
+                     st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def _operands(draw, count):
+    """``count`` polynomials over one variable tuple and ring mode."""
+    mode = draw(st.sampled_from(sorted(_MODES)))
+    n = draw(st.integers(1, 3))
+    names = tuple(f"x{i}" for i in range(n))
+    mono = st.tuples(*[_MODES[mode]] * n)
+    coeff = st.fractions(-5, 5, max_denominator=5)
+    return [Polynomial(draw(st.dictionaries(mono, coeff, max_size=6)), names, mode)
+            for _ in range(count)]
+
+
+def _assert_canonical(r: Polynomial, nvars: int):
+    for m, c in r.coeffs.items():
+        assert type(c) is Fraction and c != 0
+        assert type(m) is tuple and len(m) == nvars
+        assert all(type(e) is int for e in m)
+    assert Polynomial(dict(r.coeffs), r.names, r.mode) == r
+
+
+class TestCanonicalResults:
+    @settings(max_examples=80, deadline=None)
+    @given(_operands(2), _SCALARS)
+    def test_every_operation_returns_canonical_form(self, ops, c):
+        p, q = ops
+        # (p + q) * (p - q) makes the cross terms of a product cancel
+        for r in (p + q, p - q, -p, p * c, c * p, p * q, (p + q) * (p - q),
+                  p + c, p - c, p.diff(0), p.theta(0)):
+            _assert_canonical(r, p.nvars)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_operands(1))
+    def test_self_difference_is_empty(self, ops):
+        (p,) = ops
+        assert (p - p).coeffs == {}
+        assert (p * 0).coeffs == {}
+        assert (p + (-p)).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_operands(3))
+    def test_distributivity(self, ops):
+        p, q, r = ops
+        assert p * (q + r) == p * q + p * r
+        assert (p - q) * r == p * r - q * r

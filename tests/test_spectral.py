@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from lglab.poly import parse_polynomial
 from lglab.spectral import (
@@ -365,6 +366,22 @@ def test_vanishing_twist_is_flagged_unreliable():
                             backend="fd1")
     assert not res.reliable
     assert any("confinement" in note for note in res.notes)
+
+
+def test_partial_arpack_convergence_is_never_certified(monkeypatch):
+    eigsh = spla.eigsh
+
+    def two_of_six(M, k, **kw):
+        vals, vecs = eigsh(M, k=k, **kw)
+        raise spla.ArpackNoConvergence("stalled", vals[:2], vecs[:, :2])
+
+    monkeypatch.setattr(spla, "eigsh", two_of_six)
+    res = eigensolve_lowest(F2, build_grid(4.0, 33), degree=1, k=6,
+                            backend="fd1")
+    # one kernel vector and a wide gap: without the count this certifies
+    assert len(res.eigenvalues) == 2 and res.kernel_dim == 1
+    assert not res.certified and not res.reliable
+    assert "only 2 of 6 requested pairs converged" in " ".join(res.notes)
 
 
 def test_eigensolve_is_deterministic():
