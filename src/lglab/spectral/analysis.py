@@ -11,11 +11,11 @@ probes.
 Eigenproblems are matrix problems on the scaled flat vectors of
 ``forms.pack``, where the standard dot product equals the weighted L²
 product, so an ordinary Hermitian eigensolve is the right tool.  The
-sparse backend uses shift-invert Lanczos; the dense backend (used with
-the trigonometric derivative where matrices are full) runs subspace
-iteration with a single LU factorization followed by Rayleigh–Ritz
-extraction.  All randomness is seeded, and eigenvector phases are
-normalized, so repeated runs give identical output.
+sparse backends use shift-invert Lanczos; the ``spectral`` backend,
+whose Laplacian matrices are dense, runs subspace iteration with a
+single LU factorization followed by Rayleigh–Ritz extraction.  All
+randomness is seeded, and eigenvector phases are normalized, so
+repeated runs give identical output.
 """
 
 from __future__ import annotations

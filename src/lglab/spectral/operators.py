@@ -17,16 +17,12 @@ Derivative backends:
     over the "fd1"/"fd1b" pair cancel the first-order error and shed
     boundary-attached artifacts, which do not pair across orientations.
   * "spectral": trigonometric collocation on the periodic extension of
-    the grid (odd point count), a real antisymmetric dense matrix.
-    Appropriate only for data that decays well inside the box; used
-    where residuals must reach the 1e-8 scale.
+    the grid (odd point count), a real antisymmetric matrix with every
+    off-diagonal entry set.  Appropriate only for data that decays well
+    inside the box; used where residuals must reach the 1e-8 scale.
 
-Adjoints are constructed, never discretized: starred blocks use the
-conjugate-transposed derivative matrices, so ⟨Aφ,ψ⟩ = ⟨φ,A*ψ⟩ holds to
-rounding for every backend, including the one-sided pair.
-
-Every degree-raising operator used here is assembled from four
-component blocks:
+Every degree-raising operator used here is given by one block spec in
+``_FLAVORS``, read as four component blocks:
 
     c1 += has_dz·Dz(c0) + w1·c0          c2 += has_dz̄·Dz̄(c0) + w2·c0
     c3 += has_dz·Dz(c2) + w1·c2 − has_dz̄·Dz̄(c1) − w2·c1
@@ -34,6 +30,18 @@ component blocks:
 where w1 multiplies a dz-wedge field and w2 a dz̄-wedge field.  The
 twisted Dolbeault operator is (has_dz̄, w1=f'); the twisted de Rham
 operator adds has_dz; the real-superpotential operator adds w2 = conj(f').
+
+The spec is assembled once per flavor into the sparse matrices of
+``sector_matrices``, with Dz = ½(D⊗I − i I⊗D) and Dz̄ = ½(D⊗I + i I⊗D)
+as sparse Kronecker products; the form-level ``diff`` and
+``diff_adjoint`` apply those same cached matrices to the component
+arrays, so each operator has exactly one definition.  For "spectral"
+the blocks hold O(m³) entries; only its Laplacian is densified, for
+the dense eigensolve and LU.
+
+Adjoints are constructed, never discretized: starred operators apply
+the conjugate transpose of the assembled matrices, so ⟨Aφ,ψ⟩ = ⟨φ,A*ψ⟩
+holds to rounding for every backend, including the one-sided pair.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import scipy.sparse as sp
 
 from ..poly import Polynomial
 from ..util import PrecondError
-from .forms import SCALES, DiscreteForm
+from .forms import DiscreteForm
 from .grid import Grid
 
 _RAISE = np.sqrt(2.0)  # uniform scale factor of degree-raising blocks
@@ -82,6 +90,13 @@ def _sample(p: Polynomial, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+_DERIVATIVES = {
+    "fd1": derivative_matrix_fd1,
+    "fd1b": derivative_matrix_fd1b,
+    "fd2": derivative_matrix_fd2,
+    "spectral": derivative_matrix_spectral,
+}
+
 _FLAVORS = {
     # name: (has_dz, has_dzbar, w1 spec, w2 spec)
     "dbar": (False, True, None, None),
@@ -102,7 +117,7 @@ class Operators:
 
     def __init__(self, grid: Grid, f: Polynomial | None,
                  backend: str = "fd2"):
-        if backend not in ("fd1", "fd1b", "fd2", "spectral"):
+        if backend not in _DERIVATIVES:
             raise PrecondError(f"unknown derivative backend {backend!r}")
         self.grid = grid
         self.backend = backend
@@ -119,99 +134,47 @@ class Operators:
             self.fp = _sample(f.diff(0), grid.z)
             self.f_values = _sample(f, grid.z)
         self.fbp = np.conj(self.fp)
-        m, h = grid.points, grid.h
+        # the spectral Laplacian is densified; the others stay sparse
         self.sparse = backend != "spectral"
-        if backend == "fd2":
-            self.D = derivative_matrix_fd2(m, h)
-            self._DT = self.D.T.tocsr()
-        elif backend == "fd1":
-            self.D = derivative_matrix_fd1(m, h)
-            self._DT = self.D.T.tocsr()
-        elif backend == "fd1b":
-            self.D = derivative_matrix_fd1b(m, h)
-            self._DT = self.D.T.tocsr()
-        else:
-            self.D = derivative_matrix_spectral(m, h)
-            self._DT = self.D.T.copy()
+        self.D = sp.csr_matrix(_DERIVATIVES[backend](grid.points, grid.h))
         self._mat_cache: dict = {}
 
     # -- pointwise fields ----------------------------------------------------
 
-    def _wfield(self, spec: str | None) -> np.ndarray | None:
-        if spec is None:
-            return None
+    def _wfield(self, spec: str) -> np.ndarray:
         return {"fp": self.fp, "fp/2": self.fp / 2, "fbp": self.fbp,
                 "-fbp": -self.fbp}[spec]
 
-    # -- 1D derivative applications -----------------------------------------
+    # -- 1D derivatives of scalar fields ------------------------------------
 
     def dx(self, g: np.ndarray) -> np.ndarray:
         return self.D @ g
 
     def dy(self, g: np.ndarray) -> np.ndarray:
-        return g @ self._DT
-
-    def dz(self, g: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.dx(g) - 1j * self.dy(g))
+        return g @ self.D.T
 
     def dzbar(self, g: np.ndarray) -> np.ndarray:
         return 0.5 * (self.dx(g) + 1j * self.dy(g))
 
-    # transposed-derivative versions, the exact ℓ² adjoints of the above
-    # (equal to -dz / -dzbar only when D is antisymmetric)
-
-    def _dxH(self, g: np.ndarray) -> np.ndarray:
-        return self._DT @ g
-
-    def _dyH(self, g: np.ndarray) -> np.ndarray:
-        return g @ self.D
-
-    def dzH(self, g: np.ndarray) -> np.ndarray:
-        return 0.5 * (self._dxH(g) + 1j * self._dyH(g))
-
-    def dzbarH(self, g: np.ndarray) -> np.ndarray:
-        return 0.5 * (self._dxH(g) - 1j * self._dyH(g))
-
     # -- first-order operators on forms --------------------------------------
 
     def diff(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
-        has_dz, has_dzb, w1s, w2s = _FLAVORS[flavor]
-        w1, w2 = self._wfield(w1s), self._wfield(w2s)
-        out = DiscreteForm(self.grid)
-        c0, c1, c2 = a.comps[0], a.comps[1], a.comps[2]
-        if has_dz:
-            out.comps[1] += self.dz(c0)
-            out.comps[3] += self.dz(c2)
-        if w1 is not None:
-            out.comps[1] += w1 * c0
-            out.comps[3] += w1 * c2
-        if has_dzb:
-            out.comps[2] += self.dzbar(c0)
-            out.comps[3] -= self.dzbar(c1)
-        if w2 is not None:
-            out.comps[2] += w2 * c0
-            out.comps[3] -= w2 * c1
-        return out
+        A0, A1 = self.sector_matrices(flavor)
+        c = a.comps.reshape(4, -1)
+        out = np.zeros_like(c)
+        out[1:3] = (A0 @ c[0]).reshape(2, -1) / _RAISE
+        out[3] = (A1 @ c[1:3].ravel()) / _RAISE
+        return DiscreteForm(self.grid, out.reshape(a.comps.shape))
 
     def diff_adjoint(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
         """Exact adjoint of diff(flavor) in the weighted inner product."""
-        has_dz, has_dzb, w1s, w2s = _FLAVORS[flavor]
-        w1, w2 = self._wfield(w1s), self._wfield(w2s)
-        out = DiscreteForm(self.grid)
-        c1, c2, c3 = a.comps[1], a.comps[2], a.comps[3]
-        if has_dz:
-            out.comps[0] += 2.0 * self.dzH(c1)
-            out.comps[2] += 2.0 * self.dzH(c3)
-        if w1 is not None:
-            out.comps[0] += 2.0 * np.conj(w1) * c1
-            out.comps[2] += 2.0 * np.conj(w1) * c3
-        if has_dzb:
-            out.comps[0] += 2.0 * self.dzbarH(c2)
-            out.comps[1] += -2.0 * self.dzbarH(c3)
-        if w2 is not None:
-            out.comps[0] += 2.0 * np.conj(w2) * c2
-            out.comps[1] += -2.0 * np.conj(w2) * c3
-        return out
+        A0, A1 = self.sector_matrices(flavor)
+        c = a.comps.reshape(4, -1)
+        out = np.zeros_like(c)
+        # Aᴴx as conj(Aᵀ conj(x)), so no conjugate transpose is stored
+        out[0] = _RAISE * np.conj(A0.T @ np.conj(c[1:3].ravel()))
+        out[1:3] = (_RAISE * np.conj(A1.T @ np.conj(c[3]))).reshape(2, -1)
+        return DiscreteForm(self.grid, out.reshape(a.comps.shape))
 
     def dirac(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
         return self.diff(flavor, a) + self.diff_adjoint(flavor, a)
@@ -258,73 +221,39 @@ class Operators:
 
     # -- sector matrices -------------------------------------------------------
 
-    def _grid_mats(self):
-        if "base" in self._mat_cache:
-            return self._mat_cache["base"]
-        m = self.grid.points
-        if self.sparse:
-            eye = sp.identity(m, format="csr")
-            DX = sp.kron(self.D, eye, format="csr")
-            DY = sp.kron(eye, self.D, format="csr")
-            Dz2 = (0.5 * (DX - 1j * DY)).tocsr()
-            Dzb2 = (0.5 * (DX + 1j * DY)).tocsr()
-        else:
-            eye = np.eye(m)
-            DX = np.kron(self.D, eye)
-            DY = np.kron(eye, self.D)
-            Dz2 = 0.5 * (DX - 1j * DY)
-            Dzb2 = 0.5 * (DX + 1j * DY)
-        self._mat_cache["base"] = (Dz2, Dzb2)
-        return Dz2, Dzb2
-
-    def _diag(self, field: np.ndarray):
-        if self.sparse:
-            return sp.diags(field.ravel()).tocsr()
-        return np.diag(field.ravel())
-
-    def _zeros(self, shape):
-        if self.sparse:
-            return sp.csr_matrix(shape, dtype=complex)
-        return np.zeros(shape, dtype=complex)
-
     def sector_matrices(self, flavor: str):
-        """(A0, A1): the scaled matrices of the flavor from degree 0 to 1
-        and from degree 1 to 2.  In the scaled coordinates the standard
-        dot product is the inner product, so adjoints are plain conjugate
-        transposes."""
+        """(A0, A1): the scaled sparse matrices of the flavor from degree 0
+        to 1 and from degree 1 to 2, built once per flavor.  In the scaled
+        coordinates the standard dot product is the inner product, so
+        adjoints are plain conjugate transposes."""
         key = ("sector", flavor)
         if key in self._mat_cache:
             return self._mat_cache[key]
+        if "base" not in self._mat_cache:
+            eye = sp.identity(self.grid.points, format="csr")
+            DX = sp.kron(self.D, eye, format="csr")
+            DY = sp.kron(eye, self.D, format="csr")
+            self._mat_cache["base"] = ((0.5 * (DX - 1j * DY)).tocsr(),
+                                       (0.5 * (DX + 1j * DY)).tocsr())
+        Dz, Dzb = self._mat_cache["base"]
         has_dz, has_dzb, w1s, w2s = _FLAVORS[flavor]
-        w1, w2 = self._wfield(w1s), self._wfield(w2s)
-        Dz2, Dzb2 = self._grid_mats()
-        n = Dz2.shape[0]
 
-        def block(use_D, Dmat, w):
-            parts = []
-            if use_D:
-                parts.append(Dmat)
-            if w is not None:
-                parts.append(self._diag(w))
-            if not parts:
-                return self._zeros((n, n))
-            total = parts[0]
-            for p in parts[1:]:
-                total = total + p
+        def block(use_D, Dmat, spec):
+            total = Dmat if use_D else sp.csr_matrix(Dmat.shape, dtype=complex)
+            if spec is not None:
+                total = total + sp.diags(self._wfield(spec).ravel()).tocsr()
             return total
 
-        to_c1 = block(has_dz, Dz2, w1)
-        to_c2 = block(has_dzb, Dzb2, w2)
-        if self.sparse:
-            A0 = (_RAISE * sp.vstack([to_c1, to_c2])).tocsr()
-            A1 = (_RAISE * sp.hstack([-to_c2, to_c1])).tocsr()
-        else:
-            A0 = _RAISE * np.vstack([to_c1, to_c2])
-            A1 = _RAISE * np.hstack([-to_c2, to_c1])
+        to_c1 = block(has_dz, Dz, w1s)
+        to_c2 = block(has_dzb, Dzb, w2s)
+        A0 = (_RAISE * sp.vstack([to_c1, to_c2])).tocsr()
+        A1 = (_RAISE * sp.hstack([-to_c2, to_c1])).tocsr()
         self._mat_cache[key] = (A0, A1)
         return A0, A1
 
     def laplacian_matrix(self, flavor: str, degree: int):
+        """CSR for the finite-difference backends, a dense array for
+        "spectral", whose eigensolve and solver factor it densely."""
         key = ("lap", flavor, degree)
         if key in self._mat_cache:
             return self._mat_cache[key]
@@ -337,8 +266,7 @@ class Operators:
             M = A1 @ A1.conj().T
         else:
             raise PrecondError("degree must be 0, 1, or 2")
-        if self.sparse:
-            M = M.tocsr()
+        M = M.tocsr() if self.sparse else M.toarray()
         self._mat_cache[key] = M
         return M
 

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab.poly import parse_polynomial
 from lglab.spectral import (
@@ -37,8 +40,11 @@ from lglab.spectral.forms import (
     random_smooth_form,
 )
 from lglab.spectral.operators import (
+    _FLAVORS,
     derivative_matrix_fd1,
     derivative_matrix_fd1b,
+    derivative_matrix_fd2,
+    derivative_matrix_spectral,
 )
 from lglab.util import ComputeError, PrecondError
 
@@ -171,42 +177,113 @@ def test_backward_stencil_is_the_negative_transpose_of_forward():
     assert (fwd + bwd.T).nnz == 0
 
 
-def test_diff_adjoint_is_exact_in_every_backend():
+DERIVATIVE_MATRICES = {
+    "fd1": derivative_matrix_fd1,
+    "fd1b": derivative_matrix_fd1b,
+    "fd2": derivative_matrix_fd2,
+    "spectral": derivative_matrix_spectral,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(backend=st.sampled_from(sorted(DERIVATIVE_MATRICES)),
+       flavor=st.sampled_from(sorted(_FLAVORS)),
+       m=st.sampled_from([17, 19, 21, 23, 25]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diff_adjoint_is_exact_in_every_backend(backend, flavor, m, seed):
+    grid = build_grid(3.0, m)
+    rng = random.Random(seed)
+    ops = Operators(grid, F3, backend)
+    a = random_smooth_form(grid, rng)
+    b = random_smooth_form(grid, rng)
+    lhs = inner(ops.diff(flavor, a), b)
+    rhs = inner(a, ops.diff_adjoint(flavor, b))
+    assert abs(lhs - rhs) <= 1e-13 * norm(a) * norm(b)
+
+
+class ComponentReference:
+    """The module docstring's component formula for one flavor of F3,
+    written per axis with the bare derivative matrix (dx g = D g,
+    dy g = g Dᵀ), and its weighted adjoint with the transposed matrix."""
+
+    def __init__(self, grid, backend, flavor):
+        self.D = DERIVATIVE_MATRICES[backend](grid.points, grid.h)
+        has_dz, has_dzb, w1, w2 = _FLAVORS[flavor]
+        fp = grid.z ** 2
+        fields = {None: 0.0, "fp": fp, "fp/2": fp / 2, "fbp": np.conj(fp),
+                  "-fbp": -np.conj(fp)}
+        self.has_dz, self.has_dzb = float(has_dz), float(has_dzb)
+        self.w1, self.w2 = fields[w1], fields[w2]
+
+    def dz(self, g):
+        return 0.5 * (self.D @ g - 1j * (g @ self.D.T))
+
+    def dzbar(self, g):
+        return 0.5 * (self.D @ g + 1j * (g @ self.D.T))
+
+    def dz_adjoint(self, g):
+        return 0.5 * (self.D.T @ g + 1j * (g @ self.D))
+
+    def dzbar_adjoint(self, g):
+        return 0.5 * (self.D.T @ g - 1j * (g @ self.D))
+
+    def diff(self, a):
+        c0, c1, c2, _ = a.comps
+        out = DiscreteForm(a.grid)
+        out.comps[1] = self.has_dz * self.dz(c0) + self.w1 * c0
+        out.comps[2] = self.has_dzb * self.dzbar(c0) + self.w2 * c0
+        out.comps[3] = (self.has_dz * self.dz(c2) + self.w1 * c2
+                        - self.has_dzb * self.dzbar(c1) - self.w2 * c1)
+        return out
+
+    def diff_adjoint(self, a):
+        # the metric weights 1, 2, 2, 4 make each adjoint block twice the
+        # conjugate transpose of the raising block
+        _, c1, c2, c3 = a.comps
+        w1, w2 = np.conj(self.w1), np.conj(self.w2)
+        out = DiscreteForm(a.grid)
+        out.comps[0] = 2 * (self.has_dz * self.dz_adjoint(c1) + w1 * c1
+                            + self.has_dzb * self.dzbar_adjoint(c2) + w2 * c2)
+        out.comps[1] = -2 * (self.has_dzb * self.dzbar_adjoint(c3) + w2 * c3)
+        out.comps[2] = 2 * (self.has_dz * self.dz_adjoint(c3) + w1 * c3)
+        return out
+
+
+@pytest.mark.parametrize("backend", sorted(DERIVATIVE_MATRICES))
+def test_operators_match_the_per_axis_component_formula(backend):
     grid = build_grid(3.0, 17)
-    rng = random.Random(5)
-    for backend in ("fd1", "fd1b", "fd2", "spectral"):
-        ops = Operators(grid, F3, backend)
-        for flavor in ("dbar_f", "d_f", "partial_f"):
-            a = random_smooth_form(grid, rng)
-            b = random_smooth_form(grid, rng)
-            lhs = inner(ops.diff(flavor, a), b)
-            rhs = inner(a, ops.diff_adjoint(flavor, b))
-            assert abs(lhs - rhs) <= 1e-13 * norm(a) * norm(b), (backend, flavor)
-
-
-def test_sector_matrices_match_the_form_level_operator():
-    grid = build_grid(4.0, 33)
-    ops = Operators(grid, F3, "fd1")
-    A0, A1 = ops.sector_matrices("dbar_f")
+    ops = Operators(grid, F3, backend)
     rng = random.Random(2)
-    a0 = random_smooth_form(grid, rng, sector=(0,))
-    got = A0 @ a0.pack((0,))
-    want = ops.diff("dbar_f", a0).pack((1, 2))
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    a1 = random_smooth_form(grid, rng, sector=(1, 2))
-    got = A1 @ a1.pack((1, 2))
-    want = ops.diff("dbar_f", a1).pack((3,))
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for flavor in _FLAVORS:
+        ref = ComponentReference(grid, backend, flavor)
+        a = random_smooth_form(grid, rng)
+        want = ref.diff(a)
+        assert norm(ops.diff(flavor, a) - want) <= 1e-12 * norm(want), flavor
+        a1 = random_smooth_form(grid, rng, sector=(1, 2))
+        got = ops.laplacian_matrix(flavor, 1) @ a1.pack((1, 2))
+        want = (ref.diff(ref.diff_adjoint(a1)) +
+                ref.diff_adjoint(ref.diff(a1))).pack((1, 2))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
+            flavor
 
 
-def test_laplacian_matrix_matches_the_applied_laplacian():
-    grid = build_grid(4.0, 33)
-    ops = Operators(grid, F3, "fd2")
-    M = ops.laplacian_matrix("dbar_f", 1)
-    a = random_smooth_form(grid, random.Random(4), sector=(1, 2))
-    got = M @ a.pack((1, 2))
-    want = ops.laplacian("dbar_f", a).pack((1, 2))
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+def test_sector_matrices_stay_sparse_in_every_backend():
+    m = 17
+    grid = build_grid(3.0, m)
+    for backend in DERIVATIVE_MATRICES:
+        ops = Operators(grid, F3, backend)
+        for flavor in _FLAVORS:
+            A0, A1 = ops.sector_matrices(flavor)
+            assert sp.issparse(A0) and sp.issparse(A1), (backend, flavor)
+        # only the spectral Laplacian is densified, for its dense solvers
+        M = ops.laplacian_matrix("dbar_f", 1)
+        if backend == "spectral":
+            assert isinstance(M, np.ndarray)
+        else:
+            assert sp.isspmatrix_csr(M)
+    # the spectral blocks are Kronecker products, not dense copies
+    A0, _ = Operators(grid, F3, "spectral").sector_matrices("d_2Ref")
+    assert A0.nnz <= 2 * m ** 2 * (2 * m - 1)
 
 
 def test_twisted_laplacian_is_blind_to_the_twist_orientation():
