@@ -10,12 +10,13 @@ probes.
 
 Eigenproblems are matrix problems on the scaled flat vectors of
 ``forms.pack``, where the standard dot product equals the weighted L²
-product, so an ordinary Hermitian eigensolve is the right tool.  The
-sparse backends use shift-invert Lanczos; the ``spectral`` backend,
-whose Laplacian matrices are dense, runs subspace iteration with a
-single LU factorization followed by Rayleigh–Ritz extraction.  All
-randomness is seeded, and eigenvector phases are normalized, so
-repeated runs give identical output.
+product, so an ordinary Hermitian eigensolve is the right tool.  Every
+backend uses the same shift-invert ARPACK call followed by one
+Rayleigh–Ritz pass; only the factorization behind the shift-invert
+(``_factor``) differs, SuperLU for the sparse finite-difference
+matrices and LAPACK LU for the dense ``spectral`` one.  All randomness
+is seeded, and eigenvector phases are normalized, so repeated runs
+give identical output.
 """
 
 from __future__ import annotations
@@ -50,57 +51,53 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lowest_pairs(M, k: int, seed: int, dense: bool):
+def _factor(M, shift: float):
+    """Solver for (M + shift·I) x = b: SuperLU for a sparse M, LAPACK LU
+    for a dense one.  The only place that tells the two formats apart."""
+    n = M.shape[0]
+    if sp.issparse(M):
+        return spla.splu((M + shift * sp.identity(
+            n, dtype=complex, format="csr")).tocsc()).solve
+    shifted = np.array(M, dtype=complex)
+    shifted.flat[::n + 1] += shift
+    lu = sla.lu_factor(shifted, overwrite_a=True)
+    return lambda b: sla.lu_solve(lu, b)
+
+
+def _lowest_pairs(M, k: int, seed: int):
     """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending).
 
     Returns (vals, vecs, residuals, wanted): ``wanted`` is k clamped to the
     matrix size; fewer than ``wanted`` pairs come back when ARPACK stops
     short of convergence."""
     n = M.shape[0]
-    if dense:
-        k = min(k, n - 1)
-        block = min(n, k + 6)
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-        X, _ = np.linalg.qr(X)
-        scale = max(float(np.mean(np.abs(np.diagonal(M)))), 1e-30)
-        shifted = np.array(M, dtype=complex)
-        shifted.flat[::n + 1] += 1e-9 * scale
-        lu = sla.lu_factor(shifted, overwrite_a=True)
-        for _ in range(30):
-            X = sla.lu_solve(lu, X)
-            X, _ = np.linalg.qr(X)
-        H = X.conj().T @ (M @ X)
-        H = 0.5 * (H + H.conj().T)
-        w, V = np.linalg.eigh(H)
-        vals = w[:k].real
-        vecs = X @ V[:, :k]
-    else:
-        k = min(k, n - 2)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        Mc = M.tocsc()
-        try:
-            vals, vecs = spla.eigsh(Mc, k=k, sigma=-1e-6, which="LM",
-                                    v0=v0, tol=1e-12, maxiter=1000)
-        except spla.ArpackNoConvergence as exc:
-            # clustered spectra (e.g. vanishing twist) may stall; keep
-            # whatever pairs did converge and let the caller see the count
-            vals, vecs = exc.eigenvalues, exc.eigenvectors
-            if vals.size == 0:
-                raise ComputeError(
-                    "eigensolver failed to converge on any pair") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order].real, vecs[:, order]
-        # The general-mode Arnoldi solver returns linearly independent but
-        # not mutually orthogonal vectors inside (near-)degenerate
-        # clusters.  One Rayleigh-Ritz pass over the returned span
-        # restores orthonormality to rounding without leaving the span.
-        Q, _ = np.linalg.qr(vecs)
-        H = Q.conj().T @ (M @ Q)
-        H = 0.5 * (H + H.conj().T)
-        w, V = np.linalg.eigh(H)
-        vals, vecs = w.real, Q @ V
+    k = min(k, n - 2)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # the factor is handed over as OPinv so ARPACK never copies M itself
+    OPinv = spla.LinearOperator(M.shape, matvec=_factor(M, 1e-6),
+                                dtype=complex)
+    try:
+        vals, vecs = spla.eigsh(M, k=k, sigma=-1e-6, which="LM", v0=v0,
+                                tol=1e-12, maxiter=1000, OPinv=OPinv)
+    except spla.ArpackNoConvergence as exc:
+        # clustered spectra (e.g. vanishing twist) may stall; keep
+        # whatever pairs did converge and let the caller see the count
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+        if vals.size == 0:
+            raise ComputeError(
+                "eigensolver failed to converge on any pair") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order].real, vecs[:, order]
+    # The general-mode Arnoldi solver returns linearly independent but
+    # not mutually orthogonal vectors inside (near-)degenerate clusters.
+    # One Rayleigh-Ritz pass over the returned span restores
+    # orthonormality to rounding without leaving the span.
+    Q, _ = np.linalg.qr(vecs)
+    H = Q.conj().T @ (M @ Q)
+    H = 0.5 * (H + H.conj().T)
+    w, V = np.linalg.eigh(H)
+    vals, vecs = w.real, Q @ V
     vecs = _fix_phase(vecs)
     res = []
     Mv = M @ vecs
@@ -154,8 +151,7 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                       operators: Operators | None = None) -> SpectralResult:
     ops = operators if operators is not None else Operators(grid, f, backend)
     M = ops.laplacian_matrix(flavor, degree)
-    vals, vecs, res, wanted = _lowest_pairs(M, k, seed,
-                                            dense=(backend == "spectral"))
+    vals, vecs, res, wanted = _lowest_pairs(M, k, seed)
     vals_list = [float(v) for v in vals]
     notes: list[str] = []
 
@@ -255,19 +251,8 @@ class SpectralContext:
         if key in self._solve:
             return self._solve[key]
         M = self.ops.laplacian_matrix(flavor, degree)
-        if self.ops.sparse:
-            scale = max(float(np.mean(np.abs(M.diagonal()))), 1e-30)
-            shifted = (M + (1e-10 * scale) * sp.identity(
-                M.shape[0], dtype=complex, format="csr")).tocsc()
-            lu = spla.splu(shifted)
-            fn = lu.solve
-        else:
-            n = M.shape[0]
-            scale = max(float(np.mean(np.abs(np.diagonal(M)))), 1e-30)
-            shifted = np.array(M, dtype=complex)
-            shifted.flat[::n + 1] += 1e-10 * scale
-            lu = sla.lu_factor(shifted, overwrite_a=True)
-            fn = lambda b: sla.lu_solve(lu, b)  # noqa: E731
+        scale = max(float(np.mean(np.abs(M.diagonal()))), 1e-30)
+        fn = _factor(M, 1e-10 * scale)
         self._solve[key] = fn
         return fn
 

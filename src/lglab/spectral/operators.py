@@ -36,8 +36,8 @@ The spec is assembled once per flavor into the sparse matrices of
 as sparse Kronecker products; the form-level ``diff`` and
 ``diff_adjoint`` apply those same cached matrices to the component
 arrays, so each operator has exactly one definition.  For "spectral"
-the blocks hold O(m³) entries; only its Laplacian is densified, for
-the dense eigensolve and LU.
+the blocks hold O(m³) entries.  Its Laplacian is stored dense, because
+a sparse LU of it would fill in to about the dense size anyway.
 
 Adjoints are constructed, never discretized: starred operators apply
 the conjugate transpose of the assembled matrices, so ⟨Aφ,ψ⟩ = ⟨φ,A*ψ⟩
@@ -134,7 +134,7 @@ class Operators:
             self.fp = _sample(f.diff(0), grid.z)
             self.f_values = _sample(f, grid.z)
         self.fbp = np.conj(self.fp)
-        # the spectral Laplacian is densified; the others stay sparse
+        # the spectral Laplacian is stored dense; the others stay sparse
         self.sparse = backend != "spectral"
         self.D = sp.csr_matrix(_DERIVATIVES[backend](grid.points, grid.h))
         self._mat_cache: dict = {}
@@ -253,7 +253,8 @@ class Operators:
 
     def laplacian_matrix(self, flavor: str, degree: int):
         """CSR for the finite-difference backends, a dense array for
-        "spectral", whose eigensolve and solver factor it densely."""
+        "spectral", whose LU would fill in to about the dense size (the
+        only place that picks the storage format)."""
         key = ("lap", flavor, degree)
         if key in self._mat_cache:
             return self._mat_cache[key]

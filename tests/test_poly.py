@@ -66,14 +66,17 @@ class TestParsing:
     def test_str_round_trip(self):
         rng = random.Random(7)
         names = ("x", "y", "z")
-        for _ in range(25):
-            coeffs = {}
-            for _ in range(rng.randint(1, 6)):
-                m = tuple(rng.randint(0, 4) for _ in names)
-                coeffs[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            f = Polynomial(coeffs, names)
-            g = P(str(f), names=names)
-            assert f == g
+        # laurent mode prints and parses negative exponents
+        for mode, low in (("poly", 0), ("laurent", -4)):
+            for _ in range(25):
+                coeffs = {}
+                for _ in range(rng.randint(1, 6)):
+                    m = tuple(rng.randint(low, 4) for _ in names)
+                    coeffs[m] = Fraction(rng.randint(-9, 9),
+                                         rng.randint(1, 9))
+                f = Polynomial(coeffs, names, mode)
+                g = P(str(f), names=names, laurent=mode == "laurent")
+                assert f == g
 
 
 class TestArithmetic:
