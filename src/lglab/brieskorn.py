@@ -414,9 +414,6 @@ class BrieskornLattice:
 
     # -- residue pairing ---------------------------------------------------
 
-    def residue(self, g: Polynomial) -> Fraction:
-        return self.ring.residue(g)
-
     def _basis_product_residues(self, p: int, q: int) -> dict[int, Fraction]:
         """Residue u-series of the reduced product of basis monomials p, q."""
         key = (min(p, q), max(p, q))

@@ -33,7 +33,6 @@ SATISFIED = "Satisfied"
 LIKELY = "LikelySatisfied"
 UNKNOWN = "Unknown"
 VIOLATED = "Violated"
-UNSUPPORTED = "Unsupported"
 
 
 @dataclass
@@ -528,11 +527,3 @@ def growth_table_csv(report: EllipticityReport) -> str:
     for k, r, m in report.table or []:
         lines.append(f"{k},{r},{m}")
     return "\n".join(lines) + "\n"
-
-
-def crepant_resolution_report() -> EllipticityReport:
-    """Resolved-orbifold geometries need an explicit ALE metric, which no
-    finite procedure here provides."""
-    return EllipticityReport(UNSUPPORTED,
-                             "resolved-orbifold target geometries are out of scope: "
-                             "no computable asymptotically-flat metric is available")

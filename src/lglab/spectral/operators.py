@@ -55,6 +55,11 @@ from .forms import DiscreteForm
 from .grid import Grid
 
 _RAISE = np.sqrt(2.0)  # uniform scale factor of degree-raising blocks
+# Refuse a dense Laplacian whose matrix plus the LU copy that
+# ``analysis._factor`` makes would exceed this: the degree-1 spectral
+# Laplacian fits at 41² (2 × 172 MiB) and up to 53², and is refused
+# from 55² on (81²: 2 × 2.75 GB).
+DENSE_BYTES_LIMIT = 2**30
 
 
 def derivative_matrix_fd2(m: int, h: float) -> sp.csr_matrix:
@@ -254,19 +259,31 @@ class Operators:
     def laplacian_matrix(self, flavor: str, degree: int):
         """CSR for the finite-difference backends, a dense array for
         "spectral", whose LU would fill in to about the dense size (the
-        only place that picks the storage format)."""
+        only place that picks the storage format).  A dense matrix that,
+        with its LU copy, would exceed ``DENSE_BYTES_LIMIT`` is refused
+        with ``PrecondError`` before anything is assembled."""
         key = ("lap", flavor, degree)
         if key in self._mat_cache:
             return self._mat_cache[key]
+        if degree not in (0, 1, 2):
+            raise PrecondError("degree must be 0, 1, or 2")
+        if not self.sparse:
+            n = (2 if degree == 1 else 1) * self.grid.points ** 2
+            need = 2 * n * n * np.dtype(complex).itemsize
+            if need > DENSE_BYTES_LIMIT:
+                raise PrecondError(
+                    f"dense {flavor} Laplacian at degree {degree} on a "
+                    f"grid of {self.grid.points}² points needs about "
+                    f"{need / 2**20:.0f} MiB (matrix and its LU copy), over "
+                    f"the {DENSE_BYTES_LIMIT / 2**20:.0f} MiB limit; use a "
+                    "finite-difference backend or a coarser grid")
         A0, A1 = self.sector_matrices(flavor)
         if degree == 0:
             M = A0.conj().T @ A0
         elif degree == 1:
             M = A1.conj().T @ A1 + A0 @ A0.conj().T
-        elif degree == 2:
-            M = A1 @ A1.conj().T
         else:
-            raise PrecondError("degree must be 0, 1, or 2")
+            M = A1 @ A1.conj().T
         M = M.tocsr() if self.sparse else M.toarray()
         self._mat_cache[key] = M
         return M

@@ -8,12 +8,10 @@ from lglab.ellipticity import (
     LIKELY,
     SATISFIED,
     UNKNOWN,
-    UNSUPPORTED,
     VIOLATED,
     _face_system,
     check_laurent_nondegenerate,
     check_quasihomogeneous_ellipticity,
-    crepant_resolution_report,
     growth_exponents,
     growth_table_csv,
     newton_polytope,
@@ -217,8 +215,3 @@ class TestNumericGrowth:
         lines = csv.strip().split("\n")
         assert lines[0] == "k,radius,min_margin"
         assert len(lines) == 1 + 2 * 5
-
-
-def test_crepant_class_unsupported():
-    rep = crepant_resolution_report()
-    assert rep.verdict == UNSUPPORTED

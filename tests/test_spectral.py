@@ -2,6 +2,8 @@
 
 import csv
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from lglab.spectral import (
     write_eigenvalues_csv,
     write_harmonic_profile_csv,
 )
+from lglab.spectral.analysis import _factor
 from lglab.spectral.forms import (
     conjugate,
     gaussian_form,
@@ -476,6 +479,70 @@ def test_eigensolve_is_deterministic():
         assert r1.eigenvalues == r2.eigenvalues
         assert all(np.array_equal(a.comps, b.comps)
                    for a, b in zip(r1.eigenforms, r2.eigenforms))
+
+
+def test_sparse_factor_solves_with_diagonal_pivots_at_both_shifts():
+    # every factored matrix is Hermitian PSD plus a positive shift, so
+    # SuperLU runs in symmetric mode without pivoting: the row
+    # permutation is the column ordering
+    grid = build_grid(4.0, 17)
+    rng = np.random.default_rng(3)
+    for backend in ("fd1", "fd1b", "fd2"):
+        ops = Operators(grid, F3, backend)
+        for flavor in _FLAVORS:
+            for degree in (0, 1, 2):
+                M = ops.laplacian_matrix(flavor, degree)
+                n = M.shape[0]
+                b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                # the eigensolve's shift and SpectralContext.solver's
+                for shift in (1e-6, 1e-10 * np.mean(np.abs(M.diagonal()))):
+                    solve = _factor(M, shift)
+                    x = solve(b)
+                    A = M + shift * sp.identity(n)
+                    backward = np.linalg.norm(A @ x - b) / (
+                        spla.norm(A) * np.linalg.norm(x))
+                    assert backward <= 1e-10, (backend, flavor, degree)
+                    lu = solve.__self__
+                    assert np.array_equal(lu.perm_r, lu.perm_c), (
+                        backend, flavor, degree)
+
+
+@pytest.mark.parametrize("text,mu", [("z^2/2", 1), ("z^3/3", 2),
+                                     ("z^4/4", 3)])
+def test_reported_eigenvalues_match_a_tight_reference(text, mu):
+    # ``lg spectrum``'s solve: the factorization's rounding may move the
+    # top pair within a cluster the k=8 window splits, but every reported
+    # value must be an eigenvalue of the matrix
+    f = Pz(text)
+    grid = build_grid(4.0, 65)
+    ops = Operators(grid, f, "fd1")
+    res = eigensolve_lowest(f, grid, degree=1, k=8, backend="fd1",
+                            operators=ops)
+    assert res.kernel_dim == mu and res.certified and res.reliable
+    M = ops.laplacian_matrix("dbar_f", 1)
+    ref = np.sort(spla.eigsh(M, k=12, sigma=-1e-6, which="LM", tol=1e-13,
+                             v0=np.ones(M.shape[0], dtype=complex),
+                             return_eigenvectors=False).real)
+    # near-kernel values are accurate to the matrix scale, not to their
+    # own size, so the tolerance is relative to the top of the window
+    scale = ref[-1]
+    for v in res.eigenvalues:
+        assert np.min(np.abs(ref - v)) <= 1e-9 * scale, v
+
+
+def test_oversized_dense_laplacian_is_refused_before_assembly():
+    # the degree-1 spectral Laplacian at 81² would need 2.75 GB, twice
+    grid = build_grid(4.5, 81)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(PrecondError, match="needs about 5255 MiB"):
+            eigensolve_lowest(F3, grid, degree=1, k=6, backend="spectral")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 16 * 2**20
 
 
 def test_context_caches_kernels_solvers_and_spectra():
