@@ -326,6 +326,8 @@ class BrieskornLattice:
             raise PrecondError("positive-dimensional critical locus: "
                                "no finite lattice model")
         self.mu = self.ring.mu
+        self._units = [tuple(Fraction(1) if i == p else Fraction(0)
+                             for i in range(self.mu)) for p in range(self.mu)]
         self._pair_table: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     # -- reduction --------------------------------------------------------
@@ -409,8 +411,7 @@ class BrieskornLattice:
         return out
 
     def basis_element(self, p: int) -> LatticeElement:
-        vec = tuple(Fraction(1) if i == p else Fraction(0) for i in range(self.mu))
-        return LatticeElement({0: vec}, self.order)
+        return LatticeElement({0: self._units[p]}, self.order)
 
     # -- residue pairing ---------------------------------------------------
 
@@ -444,31 +445,31 @@ class BrieskornLattice:
         ea = a if isinstance(a, LatticeElement) else self.reduce(a, N)
         eb = b if isinstance(b, LatticeElement) else self.reduce(b, N)
         out: dict[int, Fraction] = {}
+        nonzero_b = [(k, [(q, c) for q, c in enumerate(vb) if c])
+                     for k, vb in eb.coords.items()]
         for j, va in ea.coords.items():
-            for k, vb in eb.coords.items():
+            nonzero_a = [(p, c) for p, c in enumerate(va) if c]
+            for k, nzb in nonzero_b:
                 twist = -1 if k % 2 else 1
-                for p in range(self.mu):
-                    if va[p] == 0:
-                        continue
-                    for q in range(self.mu):
-                        if vb[q] == 0:
-                            continue
+                for p, ca in nonzero_a:
+                    for q, cb in nzb:
                         for t, r in self._basis_product_residues(p, q).items():
                             m = j + k + t
                             if m <= N:
                                 out[m] = out.get(m, Fraction(0)) + \
-                                    twist * va[p] * vb[q] * r
+                                    twist * ca * cb * r
         return PairingSeries(out, N)
 
     def pairing_matrix(self, order: int | None = None) -> list[list[PairingSeries]]:
+        """Pairings of the basis classes: the residue series of their
+        reduced products."""
         N = self.order if order is None else order
-        return [[self.pairing(self.basis_element(p), self.basis_element(q), N)
+        return [[PairingSeries(self._basis_product_residues(p, q), N)
                  for q in range(self.mu)] for p in range(self.mu)]
 
     def residue_matrix(self) -> list[list[Fraction]]:
         """The u^0 part of the pairing matrix: the Grothendieck residue pairing."""
-        return [[self.pairing(self.basis_element(p), self.basis_element(q),
-                              0).residue_part()
+        return [[self._basis_product_residues(p, q).get(0, Fraction(0))
                  for q in range(self.mu)] for p in range(self.mu)]
 
     def residue_matrix_rank(self) -> int:

@@ -6,16 +6,25 @@ representation g_k = sum_i c_{k,i} * f_i in terms of the original
 generators f_i.  Normal forms therefore come with certified quotients:
 ``g = normal_form(g) + sum_i a_i f_i`` with the a_i returned to the
 caller.  Downstream code needs those quotients, not just membership.
+
+Buchberger's algorithm uses the normal selection strategy (Buchberger
+1985): of the queued S-pairs it reduces the one whose lcm has the smallest
+total degree, then the smallest in the monomial order.  Reducing the newest
+pair first instead let remainders climb to degree 40 with coefficients of
+thousands of bits on three-variable gradient ideals.  A call gives up with
+ComputeError after MAX_S_PAIRS reductions rather than run for minutes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Monomial, Polynomial, PolyError, WeightSystem, hessian_det, infer_weights
+from .util import ComputeError
 
 # -- monomial orders ---------------------------------------------------------
 
@@ -50,6 +59,12 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+# S-pairs one groebner_basis call may reduce before it gives up.  The
+# gradient ideals in the tests and benchmark need at most 102 (mu=35);
+# random three-variable potentials that finish in seconds need up to ~1400.
+MAX_S_PAIRS = 2000
+
+
 def divide(g: Polynomial, divisors: list[Polynomial], order: str = "grevlex"
            ) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: g = sum_k q_k * divisors[k] + r.
@@ -59,32 +74,37 @@ def divide(g: Polynomial, divisors: list[Polynomial], order: str = "grevlex"
     key = order_key(order)
     names, mode = g.names, g.mode
     lts = [leading_term(d, key) for d in divisors]
-    quots = [Polynomial.zero(names, mode) for _ in divisors]
+    quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     rem: dict[Monomial, Fraction] = {}
     work = dict(g.coeffs)
+    # each monomial's order key is computed once, when it first enters work
+    keys = {m: key(m) for m in work}
     while work:
-        m = max(work, key=key)
-        c = work[m]
-        if c == 0:
-            del work[m]
-            continue
+        m = max(work, key=keys.__getitem__)
+        c = work.pop(m)
         for k, (lm, lc) in enumerate(lts):
             if _divides(lm, m):
                 t = _quot(m, lm)
                 factor = c / lc
-                quots[k] = quots[k] + Polynomial.monomial(t, factor, names, mode)
+                quots[k][t] = factor
                 for dm, dc in divisors[k].coeffs.items():
                     mm = tuple(x + y for x, y in zip(t, dm))
-                    nv = work.get(mm, Fraction(0)) - factor * dc
-                    if nv == 0:
-                        work.pop(mm, None)
-                    else:
+                    if mm == m:
+                        continue  # the leading term cancels by construction
+                    nv = work.get(mm, 0) - factor * dc
+                    if nv:
+                        if mm not in keys:
+                            keys[mm] = key(mm)
                         work[mm] = nv
+                    else:
+                        del work[mm]
                 break
         else:
-            del work[m]
-            rem[m] = rem.get(m, Fraction(0)) + c
-    return quots, Polynomial(rem, names, mode)
+            # terms leave work in decreasing order, so m never comes back
+            rem[m] = c
+    # m falls at every step, so each quotient monomial t = m / lm is new
+    return ([Polynomial._trusted(q, names, mode) for q in quots],
+            Polynomial._trusted(rem, names, mode))
 
 
 # -- Buchberger with cofactors ------------------------------------------------
@@ -131,7 +151,12 @@ class GroebnerBasis:
 
 def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
                    ) -> GroebnerBasis:
-    """Buchberger's algorithm, then interreduction.  Exact over Fraction."""
+    """Buchberger's algorithm with the normal selection strategy, then
+    interreduction.  Exact over Fraction.
+
+    Raises ComputeError when more than MAX_S_PAIRS S-pairs would have to
+    be reduced.
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -142,27 +167,39 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
 
     basis: list[Polynomial] = []
     cofs: list[list[Polynomial]] = []
+    lts: list[tuple[Monomial, Fraction]] = []  # leading term of each element
+    # heap of (degree of lcm, order key of lcm, i, j, lcm): the pair with the
+    # smallest lcm is reduced first, ties broken by index
+    pairs: list = []
 
-    def unit(i):
-        return [Polynomial.constant(1 if j == i else 0, names, mode)
-                for j in range(len(gens))]
+    def add(g: Polynomial, row: list[Polynomial]) -> None:
+        lm, lc = leading_term(g, key)
+        new = len(basis)
+        for k, (lmk, _) in enumerate(lts):
+            lcm = _lcm(lm, lmk)
+            # first Buchberger criterion: coprime leading monomials
+            if lcm != tuple(a + b for a, b in zip(lm, lmk)):
+                heapq.heappush(pairs, (sum(lcm), key(lcm), new, k, lcm))
+        basis.append(g)
+        cofs.append(row)
+        lts.append((lm, lc))
 
     for i, g in enumerate(gens):
         if not g.is_zero():
-            basis.append(g)
-            cofs.append(unit(i))
+            add(g, [Polynomial.constant(1 if j == i else 0, names, mode)
+                    for j in range(len(gens))])
     if not basis:
         raise ValueError("all generators are zero")
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    reductions = 0
     while pairs:
-        i, j = pairs.pop()
-        lmi, lci = leading_term(basis[i], key)
-        lmj, lcj = leading_term(basis[j], key)
-        lcm = _lcm(lmi, lmj)
-        # first Buchberger criterion: coprime leading monomials
-        if lcm == tuple(a + b for a, b in zip(lmi, lmj)):
-            continue
+        if reductions == MAX_S_PAIRS:
+            raise ComputeError(
+                f"Groebner basis unfinished after reducing {MAX_S_PAIRS} "
+                f"S-pairs ({len(pairs)} still queued, {len(basis)} elements)")
+        reductions += 1
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        (lmi, lci), (lmj, lcj) = lts[i], lts[j]
         ti = Polynomial.monomial(_quot(lcm, lmi), Fraction(1) / lci, names, mode)
         tj = Polynomial.monomial(_quot(lcm, lmj), Fraction(1) / lcj, names, mode)
         s = ti * basis[i] - tj * basis[j]
@@ -176,13 +213,10 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
                 cof_s = [a - q * b for a, b in zip(cof_s, cofs[k])]
         _, lc = leading_term(r, key)
         inv = Fraction(1) / lc
-        basis.append(r * inv)
-        cofs.append([a * inv for a in cof_s])
-        new = len(basis) - 1
-        pairs.extend((new, k) for k in range(new))
+        add(r * inv, [a * inv for a in cof_s])
 
     # minimalize: keep only elements whose LM no kept LM divides
-    lms = [leading_term(b, key)[0] for b in basis]
+    lms = [lm for lm, _ in lts]
     by_lm = sorted(range(len(basis)), key=lambda k: key(lms[k]))
     keep: list[int] = []
     for k in by_lm:
@@ -210,7 +244,7 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
         reduced_cofs.append([a * inv for a in cof_r])
 
     reduced_pairs = sorted(zip(reduced, reduced_cofs),
-                           key=lambda rc: order_key(order)(leading_term(rc[0], key)[0]))
+                           key=lambda rc: key(leading_term(rc[0], key)[0]))
     reduced = [p for p, _ in reduced_pairs]
     reduced_cofs = [c for _, c in reduced_pairs]
     return GroebnerBasis(gens, reduced, reduced_cofs, order)

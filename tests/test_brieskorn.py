@@ -314,6 +314,19 @@ class TestPairing:
                      for k in range(3)}, 6)
                 assert L.pairing(a, b) == L.pairing(b, a).at_negated_u()
 
+    def test_matrices_equal_pairings_of_basis_classes(self):
+        # x^3 + y^3 + x^2 y^2 is not quasi-homogeneous: its matrix has a
+        # u-correction, -1/6 u, in the corner entry
+        for f in [Pz("z^4/4"), P("x^3 + y^3 + x^2*y^2", ("x", "y"))]:
+            L = BrieskornLattice(f, order=4)
+            M, R = L.pairing_matrix(), L.residue_matrix()
+            for p in range(L.mu):
+                for q in range(L.mu):
+                    K = L.pairing(L.basis_element(p), L.basis_element(q))
+                    assert M[p][q] == K
+                    assert R[p][q] == K.residue_part()
+        assert set(M[-1][-1].coeffs) == {0, 1}
+
     def test_residue_matrix_full_rank(self):
         for text, names in [("z^3/3", ("z",)), ("x^3 + y^3", ("x", "y")),
                             ("z^4/4", ("z",))]:

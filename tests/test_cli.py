@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lglab import groebner
 from lglab.cli import UsageError, main, parse_config
 
 
@@ -82,6 +83,12 @@ def test_malformed_polynomial_is_a_usage_error(capsys):
     assert main(["analyze", "1/z"]) == 2
     out = capsys.readouterr()
     assert "error" in out.err.lower()
+
+
+def test_exhausted_groebner_budget_is_a_compute_failure(monkeypatch, capsys):
+    monkeypatch.setattr(groebner, "MAX_S_PAIRS", 5)
+    assert main(["analyze", "x^3+y^3+w^3+v^2+x*y*w*v"]) == 1
+    assert "5 S-pairs" in capsys.readouterr().err
 
 
 def test_laurent_spectrum_fails_the_precondition(capsys):

@@ -1,14 +1,18 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lglab import groebner
 from lglab.groebner import divide, groebner_basis, milnor_ring
 from lglab.poly import Polynomial, parse_polynomial
+from lglab.util import ComputeError
 
 
 def P(text, names, laurent=False):
@@ -84,6 +88,12 @@ class TestGroebner:
         gb = groebner_basis([P("x", names), P("x + 1", names)])
         assert gb.contains_one()
 
+    def test_s_pair_budget_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(groebner, "MAX_S_PAIRS", 5)
+        f = P("x^3+y^3+w^3+v^2+x*y*w*v", ("x", "y", "w", "v"))
+        with pytest.raises(ComputeError, match="5 S-pairs"):
+            milnor_ring(f)
+
     def test_order_independence_of_membership(self):
         names = ("x", "y")
         gens = [P("x^2 + y", names), P("y^2 + x", names)]
@@ -129,6 +139,16 @@ class TestMilnorRing:
         R = milnor_ring(P("x^2*y^2", names))
         assert R.mu == math.inf
         assert R.basis is None
+
+    def test_runaway_under_newest_pair_first_finishes(self):
+        # reducing the newest S-pair first let the remainders of this
+        # gradient ideal reach degree 40 and ran for minutes
+        f = P("-3*x^2*y*w^4 - 7/3*x^3*w^2 + 7/3*x^3*w - 7/3*x^2*y^2"
+              " - 1/3*x*w^3", ("x", "y", "w"))
+        start = time.perf_counter()
+        R = milnor_ring(f)
+        assert R.mu == math.inf
+        assert time.perf_counter() - start < 5
 
     def test_no_critical_points(self):
         R = milnor_ring(P("x", ("x",)))
@@ -212,3 +232,41 @@ def test_reduction_certificate_holds_on_random_inputs(coeffs):
         recon = recon + ai * gi
     assert recon == g
     assert all(m in R.basis for m in r.coeffs)
+
+
+_NAMES = ("x", "y", "w")
+_COEFF = st.builds(lambda s, n, d: Fraction(s * n, d), st.sampled_from((-1, 1)),
+                   st.integers(1, 9), st.integers(1, 4))
+
+
+@st.composite
+def _ideals(draw):
+    n = draw(st.integers(2, 3))
+    term = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(st.dictionaries(term, _COEFF, min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    return [Polynomial(g, _NAMES[:n]) for g in gens]
+
+
+def _sympy_reduced_basis(gens):
+    syms = sympy.symbols(gens[0].names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*[s ** e for s, e in zip(syms, m)])
+                 for m, c in g.coeffs.items()) for g in gens]
+    G = sympy.groebner(exprs, *syms, order="grevlex", domain=sympy.QQ)
+    return {frozenset((m, Fraction(int(c.p), int(c.q)))
+                      for m, c in sympy.Poly(e, *syms).terms())
+            for e in G.exprs}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ideals())
+def test_reduced_basis_matches_sympy_and_cofactors_certify(gens):
+    gb = groebner_basis(gens)
+    assert {frozenset(e.coeffs.items()) for e in gb.elements} == \
+        _sympy_reduced_basis(gens)
+    for e, row in zip(gb.elements, gb.cofactors):
+        recon = Polynomial.zero(e.names)
+        for c, g in zip(row, gens):
+            recon = recon + c * g
+        assert recon == e
