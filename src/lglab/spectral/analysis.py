@@ -22,6 +22,16 @@ unsymmetric ordering.  The ordering and the pivot rule must be set
 together; minimum degree with partial pivoting factors several times
 slower.  All randomness is seeded, and eigenvector phases are
 normalized, so repeated runs give identical output.
+
+Dense linear algebra here (QR, Hermitian eigensolves, norms, products
+of tall blocks and of the dense Laplacian) goes through ``scipy.linalg``
+and its BLAS, not ``np.linalg`` or NumPy's ``@``.  NumPy and SciPy ship
+separate OpenBLAS builds with separate thread pools, and SuperLU and
+ARPACK run on SciPy's.  A threaded NumPy call leaves NumPy's worker
+spinning afterwards, and the next factorization shares the cores with
+it: on two cores an fd1 65² factor took 0.16 s instead of 0.09 s right
+after one ``np.linalg.qr`` of an 8450×8 block.  Products with a k × k
+result are too small to be threaded and stay on NumPy.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.blas as blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -56,9 +67,31 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gemm(A: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    """op(A) @ B on SciPy's BLAS, with op(A) = A, Aᵀ or Aᴴ for trans =
+    0, 1 or 2; a 1-D B gives a 1-D result.  A is read without a copy
+    when it is Fortran-ordered."""
+    C = blas.zgemm(1.0, A, B[:, None] if B.ndim == 1 else B, trans_a=trans)
+    return C[:, 0] if B.ndim == 1 else C
+
+
+def _apply(M, X: np.ndarray) -> np.ndarray:
+    """M @ X for a Laplacian in either format (see ``_factor``)."""
+    if sp.issparse(M):
+        return M @ X
+    # a C-ordered M goes in as its (Fortran-ordered) transpose: no copy
+    return _gemm(M, X) if M.flags.f_contiguous else _gemm(M.T, X, trans=1)
+
+
+def _project(K: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K Kᴴ X: projection onto the span of K's orthonormal columns, if any."""
+    return _gemm(K, _gemm(K, X, trans=2))
+
+
 def _factor(M, shift: float):
     """Solver for (M + shift·I) x = b: SuperLU for a sparse M, LAPACK LU
-    for a dense one.  The only place that tells the two formats apart.
+    for a dense one.  With ``_apply``, the only places that tell the two
+    formats apart.
 
     SuperLU orders by minimum degree on A+Aᵀ, with diagonal pivots, in
     symmetric mode.  Every M here is Hermitian PSD and the shift is
@@ -109,16 +142,14 @@ def _lowest_pairs(M, k: int, seed: int):
     # not mutually orthogonal vectors inside (near-)degenerate clusters.
     # One Rayleigh-Ritz pass over the returned span restores
     # orthonormality to rounding without leaving the span.
-    Q, _ = np.linalg.qr(vecs)
-    H = Q.conj().T @ (M @ Q)
-    H = 0.5 * (H + H.conj().T)
-    w, V = np.linalg.eigh(H)
-    vals, vecs = w.real, Q @ V
-    vecs = _fix_phase(vecs)
-    res = []
-    Mv = M @ vecs
-    for j in range(vecs.shape[1]):
-        res.append(float(np.linalg.norm(Mv[:, j] - vals[j] * vecs[:, j])))
+    Q, _ = sla.qr(vecs, mode="economic")
+    H = Q.conj().T @ _apply(M, Q)
+    # driver="evd" (LAPACK heevd) is np.linalg.eigh's routine: inside a
+    # degenerate cluster the basis it picks is the one reported
+    vals, V = sla.eigh(0.5 * (H + H.conj().T), driver="evd")
+    vecs = _fix_phase(_gemm(Q, V))
+    R = _apply(M, vecs) - vecs * vals
+    res = [float(r) for r in sla.norm(R, axis=0)]
     return np.maximum(vals, 0.0), vecs, res, k
 
 
@@ -158,6 +189,17 @@ class SpectralResult:
             "reliable": self.reliable,
             "notes": list(self.notes),
         }
+
+
+def _kernel_basis(result: SpectralResult) -> np.ndarray:
+    """Orthonormal columns spanning the computed kernel of one eigensolve,
+    as flat vectors of its degree sector."""
+    sector = DEGREE_SECTORS[result.degree]
+    cols = [form.pack(sector)
+            for form in result.eigenforms[:result.kernel_dim]]
+    if not cols:
+        return np.zeros((len(sector) * result.points ** 2, 0), dtype=complex)
+    return sla.qr(np.column_stack(cols), mode="economic")[0]
 
 
 def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
@@ -209,9 +251,8 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                      "no confinement, kernel count is not meaningful")
     reliable = certified and not flat
 
-    sector = DEGREE_SECTORS[degree]
-    forms = [DiscreteForm.unpack(grid, sector, vecs[:, j])
-             for j in range(vecs.shape[1])]
+    forms = [DiscreteForm.unpack(grid, DEGREE_SECTORS[degree], v)
+             for v in vecs.T]
     return SpectralResult(
         f_text="0" if f is None else str(f), flavor=flavor, degree=degree,
         backend=backend, half_width=grid.half_width, points=grid.points,
@@ -241,44 +282,29 @@ class SpectralContext:
                    flavor: str = "dbar_f") -> SpectralResult:
         key = (flavor, degree)
         cached = self._eig.get(key)
-        if cached is not None and len(cached.eigenvalues) >= min(
-                k, self._sector_size(degree) - 2):
+        size = len(DEGREE_SECTORS[degree]) * self.grid.points ** 2
+        if cached is not None and len(cached.eigenvalues) >= min(k, size - 2):
             return cached
-        result = eigensolve_lowest(
+        self._eig[key] = eigensolve_lowest(
             self.f, self.grid, degree=degree, k=k, backend=self.backend,
             seed=self.seed, gap_threshold=self.gap_threshold, flavor=flavor,
             operators=self.ops)
-        self._eig[key] = result
-        return result
-
-    def _sector_size(self, degree: int) -> int:
-        n = self.grid.points ** 2
-        return 2 * n if degree == 1 else n
+        return self._eig[key]
 
     def kernel_matrix(self, degree: int, flavor: str = "dbar_f") -> np.ndarray:
         key = (flavor, degree)
-        if key in self._kernel:
-            return self._kernel[key]
-        result = self.eigensolve(degree, flavor=flavor)
-        sector = DEGREE_SECTORS[degree]
-        cols = [form.pack(sector)
-                for form in result.eigenforms[:result.kernel_dim]]
-        if cols:
-            K, _ = np.linalg.qr(np.column_stack(cols))
-        else:
-            K = np.zeros((self._sector_size(degree), 0), dtype=complex)
-        self._kernel[key] = K
-        return K
+        if key not in self._kernel:
+            self._kernel[key] = _kernel_basis(
+                self.eigensolve(degree, flavor=flavor))
+        return self._kernel[key]
 
     def solver(self, degree: int, flavor: str = "dbar_f"):
         key = (flavor, degree)
-        if key in self._solve:
-            return self._solve[key]
-        M = self.ops.laplacian_matrix(flavor, degree)
-        scale = max(float(np.mean(np.abs(M.diagonal()))), 1e-30)
-        fn = _factor(M, 1e-10 * scale)
-        self._solve[key] = fn
-        return fn
+        if key not in self._solve:
+            M = self.ops.laplacian_matrix(flavor, degree)
+            scale = max(float(np.mean(np.abs(M.diagonal()))), 1e-30)
+            self._solve[key] = _factor(M, 1e-10 * scale)
+        return self._solve[key]
 
     def green(self, degree: int, b: np.ndarray, flavor: str = "dbar_f",
               refinements: int = 3) -> np.ndarray:
@@ -289,14 +315,12 @@ class SpectralContext:
         solve = self.solver(degree, flavor)
 
         def deflate(v):
-            if K.shape[1]:
-                return v - K @ (K.conj().T @ v)
-            return v
+            return v - _project(K, v)
 
         r = deflate(b)
         u = deflate(solve(r))
         for _ in range(refinements):
-            resid = deflate(r - M @ u)
+            resid = deflate(r - _apply(M, u))
             u = deflate(u + solve(resid))
         return u
 
@@ -344,32 +368,23 @@ def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
     for degree in (0, 1, 2):
         sector = DEGREE_SECTORS[degree]
         v = form.pack(sector)
-        if np.linalg.norm(v) <= 1e-300 * total:
+        if sla.norm(v) <= 1e-300 * total:
             continue
         K = ctx.kernel_matrix(degree)
-        h = K @ (K.conj().T @ v) if K.shape[1] else np.zeros_like(v)
+        h = _project(K, v)
         w = v - h
         if degree == 0:
             # the adjoint differential from degree 1 hits all of the
             # non-harmonic sector: everything left is coexact
-            u = ctx.green(0, w)
-            c = A0.conj().T @ (A0 @ u)
-            if K.shape[1]:
-                c = c - K @ (K.conj().T @ c)
+            c = A0.conj().T @ (A0 @ ctx.green(0, w))
+            c = c - _project(K, c)
             e = w - c
-        elif degree == 1:
-            # least-squares projection onto the image of the twisted
-            # differential via the degree-0 Laplacian
-            x = ctx.green(0, A0.conj().T @ w)
-            e = A0 @ x
-            if K.shape[1]:
-                e = e - K @ (K.conj().T @ e)
-            c = w - e
         else:
-            u = ctx.green(2, w)
-            e = A1 @ (A1.conj().T @ u)
-            if K.shape[1]:
-                e = e - K @ (K.conj().T @ e)
+            # degree 1: least-squares projection onto the image of the
+            # twisted differential via the degree-0 Laplacian
+            e = (A0 @ ctx.green(0, A0.conj().T @ w) if degree == 1
+                 else A1 @ (A1.conj().T @ ctx.green(2, w)))
+            e = e - _project(K, e)
             c = w - e
         harmonic = harmonic + DiscreteForm.unpack(grid, sector, h)
         image = image + DiscreteForm.unpack(grid, sector, e)
@@ -417,13 +432,13 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
     A0, A1 = ops.sector_matrices("dbar_f")
     _, P1 = ops.sector_matrices("partial")
     s0 = form.pack(DEGREE_SECTORS[1])
-    scale = np.linalg.norm(s0)
+    scale = sla.norm(s0)
     if scale == 0.0:
         zero = DiscreteForm(grid)
         return SplittingSeries([zero] * (orders + 1), [0.0] * (orders + 1),
                                0.0, 0.0)
     defect = float(np.sqrt(
-        np.linalg.norm(A1 @ s0) ** 2 + np.linalg.norm(A0.conj().T @ s0) ** 2
+        sla.norm(A1 @ s0) ** 2 + sla.norm(A0.conj().T @ s0) ** 2
     ) / scale)
     if defect > precondition_tol:
         raise PrecondError(
@@ -432,18 +447,18 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
     M2 = ops.laplacian_matrix("dbar_f", 2)
     solve2 = ctx.solver(2)
     coeffs = [s0]
-    residuals = [float(np.linalg.norm(A1 @ s0))]
+    residuals = [float(sla.norm(A1 @ s0))]
     prev = s0
     for _ in range(1, orders + 1):
         rhs = -(P1 @ prev)
         w = solve2(rhs)
         for _ in range(2):
-            w = w + solve2(rhs - M2 @ w)
+            w = w + solve2(rhs - _apply(M2, w))
         sk = A1.conj().T @ w
-        residuals.append(float(np.linalg.norm(A1 @ sk - rhs)))
+        residuals.append(float(sla.norm(A1 @ sk - rhs)))
         coeffs.append(sk)
         prev = sk
-    tail = float(np.linalg.norm(P1 @ prev))
+    tail = float(sla.norm(P1 @ prev))
     forms = [DiscreteForm.unpack(grid, DEGREE_SECTORS[1], c) for c in coeffs]
     return SplittingSeries(coefficients=forms, residuals=residuals,
                            truncation_tail=tail, harmonic_defect=defect)
@@ -552,10 +567,7 @@ def homotopy_identity_check(f: Polynomial, grid: Grid,
     def sample_probe(g: Grid, probe) -> DiscreteForm:
         center, coeffs, w = probe
         bump = np.exp(-(np.abs(g.z - center) / w) ** 2)
-        out = DiscreteForm(g)
-        for i in range(4):
-            out.comps[i] = coeffs[i] * bump
-        return out
+        return DiscreteForm(g, coeffs[:, None, None] * bump)
 
     grids = [grid]
     for _ in range(levels - 1):
@@ -591,29 +603,22 @@ def homotopy_identity_check(f: Polynomial, grid: Grid,
 PAIR_KEEP_THRESHOLD = 0.75
 
 
-def _orthonormal(K: np.ndarray) -> np.ndarray:
-    if K.shape[1] == 0:
-        return K
-    Q, _ = np.linalg.qr(K)
-    return Q
-
-
 def _paired_subspace(K_fwd: np.ndarray, K_bwd: np.ndarray) -> np.ndarray:
-    """Dominant invariant subspace of the average of the two orthogonal
-    projectors.  A kernel direction shared by both orientations shows up
-    with projector eigenvalue near 1; an artifact attached to one
-    orientation (boundary-corner modes of one-sided stencils) contributes
-    only 1/2 and is dropped."""
+    """Dominant invariant subspace of the average of the orthogonal
+    projectors onto the spans of two orthonormal bases.  A kernel
+    direction shared by both orientations shows up with projector
+    eigenvalue near 1; an artifact attached to one orientation
+    (boundary-corner modes of one-sided stencils) contributes only 1/2
+    and is dropped."""
     stacked = np.column_stack([K_fwd, K_bwd])
     if stacked.shape[1] == 0:
         return stacked
-    Q, _ = np.linalg.qr(stacked)
-    Pf = Q.conj().T @ _orthonormal(K_fwd)
-    Pb = Q.conj().T @ _orthonormal(K_bwd)
-    M = 0.5 * (Pf @ Pf.conj().T + Pb @ Pb.conj().T)
-    w, V = np.linalg.eigh(M)
-    keep = w > PAIR_KEEP_THRESHOLD
-    return Q @ V[:, keep]
+    Q, _ = sla.qr(stacked, mode="economic")
+    Pf = Q.conj().T @ K_fwd
+    Pb = Q.conj().T @ K_bwd
+    w, V = sla.eigh(0.5 * (Pf @ Pf.conj().T + Pb @ Pb.conj().T),
+                    driver="evd")
+    return _gemm(Q, V[:, w > PAIR_KEEP_THRESHOLD])
 
 
 def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
@@ -635,16 +640,7 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     a boundary corner by one orientation do not pair with the other, so
     the averaged projector separates them cleanly."""
     symmetrize = backend == "fd1"
-    sector = DEGREE_SECTORS[1]
-
-    def kernel_cols(result):
-        cols = [form.pack(sector)
-                for form in result.eigenforms[:result.kernel_dim]]
-        return (np.column_stack(cols) if cols
-                else np.zeros((2 * grid.points ** 2, 0), dtype=complex))
-
     describes = {}
-    kernels = {}
     orientations = ("fd1", "fd1b") if symmetrize else (backend,)
     per_orientation = {name: [] for name in ("dbar_f", "dbar_f_half", "d_f")}
     for orient in orientations:
@@ -653,18 +649,13 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
             res = eigensolve_lowest(f, grid, degree=1, k=k, backend=orient,
                                     seed=seed, gap_threshold=gap_threshold,
                                     flavor=flavor, operators=ops)
-            per_orientation[flavor].append(kernel_cols(res))
+            per_orientation[flavor].append(_kernel_basis(res))
             if orient == orientations[0]:
                 describes[flavor] = res.describe()
         if orient == orientations[0]:
             phase = np.exp(-1j * ops.f_values.imag).ravel()
-    for flavor, cols in per_orientation.items():
-        kernels[flavor] = (_paired_subspace(*cols) if symmetrize
-                           else _orthonormal(cols[0]))
-
-    K_dol = kernels["dbar_f"]
-    K_mid = kernels["dbar_f_half"]
-    K_dr = kernels["d_f"]
+    K_dol, K_mid, K_dr = (_paired_subspace(*bases) if symmetrize
+                          else bases[0] for bases in per_orientation.values())
 
     n = grid.points ** 2
     halve_dz = np.concatenate([0.5 * np.ones(n), np.ones(n)])
@@ -672,9 +663,7 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
 
     max_angle = None
     if K_dol.shape[1] and K_mid.shape[1] and K_dr.shape[1]:
-        mapped = halve_dz[:, None] * K_dol
-        mapped = K_mid @ (K_mid.conj().T @ mapped)
-        mapped = phase2[:, None] * mapped
+        mapped = phase2[:, None] * _project(K_mid, halve_dz[:, None] * K_dol)
         angles = sla.subspace_angles(mapped, K_dr)
         max_angle = float(np.degrees(np.max(angles))) if angles.size else 0.0
     return {
@@ -716,26 +705,12 @@ def norm_probe(f: Polynomial, grid: Grid, form: DiscreteForm, k: int = 2,
             weighted = plain[j] if i == 0 else plain[j].multiply_pointwise(g ** i)
             n_graded += norm(weighted)
 
-    # gradient-weighted flat derivative stacks
-    def grid_dx(a: DiscreteForm) -> DiscreteForm:
-        out = DiscreteForm(grid)
-        for i in range(4):
-            out.comps[i] = ops.dx(a.comps[i])
-        return out
-
-    def grid_dy(a: DiscreteForm) -> DiscreteForm:
-        out = DiscreteForm(grid)
-        for i in range(4):
-            out.comps[i] = ops.dy(a.comps[i])
-        return out
-
+    # gradient-weighted flat derivative stacks: level j holds every
+    # j-fold x/y derivative of the form, componentwise
     levels = [[form]]
     for _ in range(k):
-        nxt = []
-        for a in levels[-1]:
-            nxt.append(grid_dx(a))
-            nxt.append(grid_dy(a))
-        levels.append(nxt)
+        levels.append([DiscreteForm(grid, np.array([d(c) for c in a.comps]))
+                       for a in levels[-1] for d in (ops.dx, ops.dy)])
     n_flat = 0.0
     for j in range(k + 1):
         for i in range(k + 1 - j):

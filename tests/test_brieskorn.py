@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab.brieskorn import (
     BrieskornLattice,
@@ -236,6 +238,12 @@ class TestUSeries:
             assert twisted_differential(f, twisted_differential(f, s)).is_zero()
 
 
+CERTIFIED_LATTICES = {
+    text: BrieskornLattice(P(text, names), order=3)
+    for text, names in (("z^3/3", ("z",)), ("x^3+y^3", ("x", "y")),
+                        ("x^2*y+y^3", ("x", "y")))}
+
+
 class TestReduction:
     def test_reduce_gradient_power(self):
         L = BrieskornLattice(Pz("z^3/3"), order=6)
@@ -271,6 +279,28 @@ class TestReduction:
                 rhs = USeriesPV({k: PVField.from_polynomial(p)
                                  for k, p in rhs_polys.items()}, 5, names)
                 assert (lhs - rhs).is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_certificate_identity_holds_on_random_u_series(self, data):
+        text = data.draw(st.sampled_from(sorted(CERTIFIED_LATTICES)))
+        L = CERTIFIED_LATTICES[text]
+        names = L.f.names
+        order = data.draw(st.integers(0, 3))
+        mono = st.tuples(*[st.integers(0, 4)] * len(names))
+        terms = st.dictionaries(mono, st.fractions(-5, 5, max_denominator=5),
+                                max_size=4)
+        series = {k: Polynomial(c, names) for k, c in data.draw(
+            st.dictionaries(st.integers(0, 3), terms, max_size=4)).items()}
+        el, eta = L.reduce_with_certificate(series, order=order)
+
+        def as_series(polys):
+            return USeriesPV({k: PVField.from_polynomial(p)
+                              for k, p in polys.items()}, order, names)
+
+        # input - (contraction + u*divergence)(eta) == element, exactly
+        lhs = as_series(series) - twisted_differential(L.f, eta)
+        assert (lhs - as_series(L.to_polynomial_series(el))).is_zero()
 
     def test_rejects_positive_dimensional(self):
         with pytest.raises(PrecondError):

@@ -225,6 +225,13 @@ class TestCanonicalResults:
         assert (p * 0).coeffs == {}
         assert (p + (-p)).is_zero()
 
+    @settings(max_examples=100, deadline=None)
+    @given(_operands(1))
+    def test_str_parses_back_to_the_same_polynomial(self, ops):
+        # laurent mode prints and parses negative exponents
+        (p,) = ops
+        assert P(str(p), names=p.names, laurent=p.mode == "laurent") == p
+
     @settings(max_examples=60, deadline=None)
     @given(_operands(3))
     def test_distributivity(self, ops):

@@ -481,6 +481,31 @@ def test_eigensolve_is_deterministic():
                    for a, b in zip(r1.eigenforms, r2.eigenforms))
 
 
+def test_grid_path_keeps_dense_linear_algebra_off_numpy_linalg(monkeypatch):
+    # NumPy and SciPy link separate OpenBLAS builds; SuperLU and ARPACK
+    # run on SciPy's pool, and a threaded np.linalg call between two
+    # factorizations leaves NumPy's pool spinning on the same cores
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called on the grid path")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    res = eigensolve_lowest(F2, build_grid(4.0, 33), degree=1, k=6,
+                            backend="fd1")
+    assert res.kernel_dim == 1 and res.certified
+    spectral = eigensolve_lowest(F2, build_grid(4.0, 25), degree=1, k=6,
+                                 backend="spectral")
+    assert len(spectral.eigenvalues) == 6 and spectral.eigenvalues[0] <= 1e-8
+    grid = build_grid(4.0, 33)
+    ctx = SpectralContext(F2, grid, backend="fd1")
+    split = hodge_decompose(F2, grid, random_smooth_form(grid, random.Random(5)),
+                            context=ctx)
+    assert ctx.kernel_matrix(1).shape[1] == 1
+    assert split.relative_residual <= 1e-9 and split.max_cross <= 1e-9
+    report = derham_compare(F2, build_grid(4.0, 33), backend="fd1")
+    assert report["dims_agree"] and report["dolbeault_dim"] == 1
+
+
 def test_sparse_factor_solves_with_diagonal_pivots_at_both_shifts():
     # every factored matrix is Hermitian PSD plus a positive shift, so
     # SuperLU runs in symmetric mode without pivoting: the row
