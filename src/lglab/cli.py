@@ -263,17 +263,9 @@ def _cmd_analyze(cfg: RunConfig) -> Report:
         "reason": ell.reason,
         "witness": ell.witness,
     }
-    if ell.table is not None:
-        results["growth_table"] = [
-            {"k": k, "radius": radius, "min_margin": margin}
-            for k, radius, margin in ell.table]
-    if ell.verdict == "LikelySatisfied":
-        report.warnings.append(
-            "ellipticity:randomized-search verdict is numeric-only")
     if cfg.plot_dir:
-        numeric = numeric_growth_table(f, seed=cfg.seed)
-        if numeric.table is not None:
-            report.tables["growth_table.csv"] = growth_table_csv(numeric)
+        report.tables["growth_table.csv"] = growth_table_csv(
+            numeric_growth_table(f, seed=cfg.seed))
     report.results = results
     return report
 

@@ -8,8 +8,10 @@ Three largely independent routes:
    its interior ("convenient"), and no face system
    ``g = theta_1 g = ... = theta_n g = 0`` (g the face restriction,
    theta_i the logarithmic derivatives) may have a solution with all
-   coordinates nonzero.  Exact for n <= 2 via Groebner bases with a
-   Rabinowitsch variable; randomized root search for n >= 3.
+   coordinates nonzero.  Exact in every dimension: each face system is
+   decided by a Groebner basis with a Rabinowitsch variable.  Verdict
+   Satisfied or Violated; a Newton search supplies a checked witness
+   for a violated face when it finds one, never the verdict.
 3. numeric growth probe — samples ``eps*|grad f|^k - |tensor grad^k f|``
    on spheres of growing radius; can only ever report LikelySatisfied.
 
@@ -104,24 +106,20 @@ class NewtonPolytope:
     _origin: Monomial = None      # base point p0 of the affine hull
     _basis: list[Monomial] = None  # integer direction basis of the hull
 
-    def hull_coords(self, point: Monomial) -> list[Fraction] | None:
-        """Coordinates of point within the affine hull, or None if outside it."""
-        diff = [Fraction(a - b) for a, b in zip(point, self._origin)]
-        A = [[Fraction(v[i]) for v in self._basis] for i in range(len(point))]
-        x = _solve_exact(A, diff)
-        if x is None:
-            return None
-        for i in range(len(point)):
-            if sum(A[i][j] * x[j] for j in range(len(x))) != diff[i]:
-                return None
-        return x
-
     def contains(self, point: Monomial) -> bool:
-        c = self.hull_coords(point)
+        c = _hull_coords(point, self._origin, self._basis)
         if c is None:
             return False
         return all(sum(nu[i] * c[i] for i in range(len(c))) <= off
                    for nu, off in self.facets)
+
+
+def _hull_coords(point: Monomial, origin: Monomial,
+                 basis: list[Monomial]) -> list[Fraction] | None:
+    """Coordinates of point within the affine hull, or None if outside it."""
+    diff = [Fraction(a - b) for a, b in zip(point, origin)]
+    A = [[Fraction(v[i]) for v in basis] for i in range(len(point))]
+    return _solve_exact(A, diff)
 
 
 def newton_polytope(f: Polynomial) -> NewtonPolytope:
@@ -131,33 +129,21 @@ def newton_polytope(f: Polynomial) -> NewtonPolytope:
     pts = sorted(set(f.coeffs))
     n = f.nvars
     p0 = pts[0]
-    diffs = [[Fraction(a - b) for a, b in zip(p, p0)] for p in pts]
+    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts]
 
-    # integer basis of the affine hull from rref pivot rows
-    red, pivots = _rref([list(r) for r in diffs]) if len(pts) > 1 else ([], [])
-    d = len(pivots)
+    # integer basis of the affine hull: the support differences that raise the rank
+    d = _rank(diffs)
     basis: list[Monomial] = []
-    used_rank = 0
-    for p, row in zip(pts, diffs):
-        if _rank([list(b) for b in basis] + [row]) > used_rank:
-            basis.append(tuple(row))
-            used_rank += 1
-        if used_rank == d:
+    for row in diffs:
+        if len(basis) == d:
             break
-    basis = [tuple(int(x) if x == int(x) else x for x in b) for b in basis]
+        if _rank(basis + [row]) > len(basis):
+            basis.append(row)
 
-    def coords(p):
-        diff = [Fraction(a - b) for a, b in zip(p, p0)]
-        A = [[Fraction(b[i]) for b in basis] for i in range(n)]
-        return _solve_exact(A, diff)
-
-    hull_pts = {p: coords(p) for p in pts}
+    hull_pts = {p: _hull_coords(p, p0, basis) for p in pts}
 
     if d == 0:
-        face = Face((pts[0],), 0)
-        poly = NewtonPolytope(pts, 0, [pts[0]], [face], [], False, p0, basis)
-        poly.convenient = (n == 0)
-        return poly
+        return NewtonPolytope(pts, 0, [p0], [Face((p0,), 0)], [], n == 0, p0, basis)
 
     # facets: supporting hyperplanes spanned by d support points
     facets: dict[tuple, tuple[tuple[Fraction, ...], Fraction]] = {}
@@ -167,35 +153,24 @@ def newton_polytope(f: Polynomial) -> NewtonPolytope:
         if _rank(rows) != d - 1:
             continue
         # normal: 1-dim nullspace of rows (within hull coordinates)
-        red2, piv2 = _rref(rows) if rows else ([], [])
-        free = [i for i in range(d) if i not in piv2]
-        if len(free) != 1:
-            continue
+        red2, piv2 = _rref(rows)
+        (free,) = [i for i in range(d) if i not in piv2]
         nu = [Fraction(0)] * d
-        nu[free[0]] = Fraction(1)
+        nu[free] = Fraction(1)
         for i, col in enumerate(piv2):
-            nu[col] = -red2[i][free[0]]
+            nu[col] = -red2[i][free]
         off = sum(nu[i] * hull_pts[comb[0]][i] for i in range(d))
         vals = [sum(nu[i] * hull_pts[p][i] for i in range(d)) - off for p in pts]
-        if all(v <= 0 for v in vals):
-            pass
-        elif all(v >= 0 for v in vals):
-            nu = [-x for x in nu]
-            off = -off
-        else:
-            continue
+        if any(v > 0 for v in vals):
+            if any(v < 0 for v in vals):
+                continue
+            nu, off = [-x for x in nu], -off
         # canonicalize to primitive integer normal
-        den = 1
-        for x in nu + [off]:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in nu + [off]))
         inu = [int(x * den) for x in nu]
         ioff = int(off * den)
-        g = 0
-        for x in inu + [ioff]:
-            g = math.gcd(g, abs(x))
-        if g > 1:
-            inu = [x // g for x in inu]
-            ioff //= g
+        g = math.gcd(*inu, ioff)
+        inu, ioff = [x // g for x in inu], ioff // g
         key = (tuple(inu), ioff)
         facets[key] = (tuple(Fraction(x) for x in inu), Fraction(ioff))
     facet_list = list(facets.values())
@@ -228,7 +203,7 @@ def newton_polytope(f: Polynomial) -> NewtonPolytope:
     convenient = False
     if d == n:
         zero = tuple(0 for _ in range(n))
-        c0 = coords(zero)
+        c0 = _hull_coords(zero, p0, basis)
         if c0 is not None:
             convenient = all(
                 sum(nu[i] * c0[i] for i in range(d)) < off for nu, off in facet_list)
@@ -241,8 +216,6 @@ def newton_polytope(f: Polynomial) -> NewtonPolytope:
 
 def _clear_to_poly(g: Polynomial) -> Polynomial:
     """Multiply by the monomial making all exponents nonnegative (a torus unit)."""
-    if g.is_zero():
-        return Polynomial.zero(g.names, "poly")
     mins = [min(m[i] for m in g.coeffs) for i in range(g.nvars)]
     shift = tuple(-min(0, mi) for mi in mins)
     out = {tuple(e + s for e, s in zip(m, shift)): c for m, c in g.coeffs.items()}
@@ -271,63 +244,6 @@ def _torus_system_is_empty(system: list[Polynomial], names: tuple[str, ...]) -> 
     gens.append(Polynomial.constant(1, wnames) - prod)
     gb = groebner_basis(gens, "grevlex")
     return gb.contains_one()
-
-
-def _rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of a univariate polynomial over Q."""
-    # scale to integer coefficients
-    den = 1
-    for c in p.coeffs.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ic = {m[0]: int(c * den) for m, c in p.coeffs.items()}
-    if not ic:
-        return []
-    lo = min(ic)
-    ic = {e - lo: v for e, v in ic.items()}  # strip powers of z (z=0 excluded anyway)
-    deg = max(ic)
-    a0 = ic.get(0, 0)
-    an = ic[deg]
-    if a0 == 0:
-        # all terms divisible by z after stripping cannot happen; guard anyway
-        return []
-    def divisors(k):
-        k = abs(k)
-        out = set()
-        for i in range(1, int(math.isqrt(k)) + 1):
-            if k % i == 0:
-                out.update((i, k // i))
-        return sorted(out)
-    roots = []
-    for pnum in divisors(a0):
-        for qden in divisors(an):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * pnum, qden)
-                val = sum(v * cand ** e for e, v in ic.items())
-                if val == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
-def _poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q[z]."""
-    def degree(p):
-        return max((m[0] for m in p.coeffs), default=-1)
-
-    def rem(p, q):
-        dq = degree(q)
-        lcq = q.coeffs[(dq,)]
-        while not p.is_zero() and degree(p) >= dq:
-            dp = degree(p)
-            c = p.coeffs[(dp,)] / lcq
-            p = p - Polynomial.monomial((dp - dq,), c, p.names) * q
-        return p
-
-    while not b.is_zero():
-        a, b = b, rem(a, b)
-    if a.is_zero():
-        return a
-    lc = a.coeffs[(degree(a),)]
-    return a * (Fraction(1) / lc)
 
 
 def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int,
@@ -369,12 +285,35 @@ def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int,
     return None
 
 
+def _torus_witness(system: list[Polynomial], nvars: int, seed: int):
+    """A checked torus point of a face system already shown solvable, or None.
+
+    The Newton search only returns points with residual below its
+    tolerance; a point counts as a witness if every coordinate modulus
+    also lies in [1e-3, 1e3].  A real witness whose coordinates snap to
+    rationals of denominator <= 1000 that solve the system exactly is
+    returned exactly.
+    """
+    z = _newton_witness_search(system, nvars, seed)
+    if z is None or not all(1e-3 <= abs(v) <= 1e3 for v in z):
+        return None
+    if all(abs(v.imag) < 1e-6 for v in z):
+        snapped = [Fraction(v.real).limit_denominator(1000) for v in z]
+        point = [Polynomial.constant(x, system[0].names) for x in snapped]
+        if all(s.subs(point).is_zero() for s in system):
+            return tuple(complex(x) for x in snapped)
+    return z
+
+
 def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityReport:
     """Face-by-face torus-solvability of g = theta_1 g = ... = theta_n g = 0.
 
-    Exact verdict for n <= 2 (Groebner + Rabinowitsch); randomized search
-    for n >= 3 can only return LikelySatisfied or Violated with witness.
-    A convenient Newton polytope is a precondition.
+    Exact in every dimension: each face system is decided by a Groebner
+    basis with a Rabinowitsch variable, so the verdict is Satisfied or
+    Violated.  On the first violated face a Newton search seeded by
+    ``seed`` looks for a witness; it never decides the verdict, and when
+    it finds no checked torus point the witness is None.  A convenient
+    Newton polytope is a precondition.
     """
     if f.mode != "laurent":
         f = Polynomial(dict(f.coeffs), f.names, "laurent")
@@ -382,57 +321,22 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
     if not poly.convenient:
         raise PrecondError("Newton polytope does not contain the origin "
                            "strictly in its interior")
-    n = f.nvars
-    exact = n <= 2
     per_face = []
     for face in poly.faces:
         system = _face_system(f, face)
-        if not system:
-            continue
-        if exact:
-            empty = _torus_system_is_empty(system, f.names)
-            if not empty:
-                witness = _exact_witness(system, f, seed)
-                per_face.append((face, VIOLATED, witness))
-            else:
-                per_face.append((face, SATISFIED, None))
-        else:
-            w = _newton_witness_search(system, n, seed)
-            per_face.append((face, VIOLATED if w else LIKELY, w))
+        empty = _torus_system_is_empty(system, f.names)
+        per_face.append((face, system, SATISFIED if empty else VIOLATED))
 
-    details = {"faces": [(list(face.points), verdict) for face, verdict, _ in per_face],
+    details = {"faces": [(list(face.points), verdict) for face, _, verdict in per_face],
                "dim": poly.dim, "vertices": poly.vertices}
-    for face, verdict, witness in per_face:
+    for face, system, verdict in per_face:
         if verdict == VIOLATED:
-            return EllipticityReport(
-                VIOLATED,
-                f"face {list(face.points)} has a torus solution",
-                details, witness=witness)
-    if exact:
-        return EllipticityReport(SATISFIED, "no face system has a torus solution",
-                                 details)
-    return EllipticityReport(LIKELY, "no torus solution found by randomized search",
-                             details)
-
-
-def _exact_witness(system: list[Polynomial], f: Polynomial, seed: int):
-    """Best-effort witness for a violated face system (verdict already exact)."""
-    n = f.nvars
-    if n == 1:
-        g = system[0]
-        for s in system[1:]:
-            g = _poly_gcd_univariate(g, s)
-        if not g.is_zero():
-            roots = [r for r in _rational_roots(g) if r != 0]
-            if roots:
-                return (complex(roots[0]),)
-            # fall back to a numeric root of the gcd
-            deg = max(m[0] for m in g.coeffs)
-            arr = [float(g.coeffs.get((k,), 0)) for k in range(deg, -1, -1)]
-            for r in np.roots(arr):
-                if abs(r) > 1e-8:
-                    return (complex(r),)
-    return _newton_witness_search(system, n, seed)
+            witness = _torus_witness(system, f.nvars, seed)
+            reason = f"face {list(face.points)} has a torus solution"
+            if witness is None:
+                reason += "; no torus witness found"
+            return EllipticityReport(VIOLATED, reason, details, witness=witness)
+    return EllipticityReport(SATISFIED, "no face system has a torus solution", details)
 
 
 # -- numeric growth table --------------------------------------------------------

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab.brieskorn import (
     BrieskornLattice,
@@ -159,6 +161,45 @@ def test_c05_polyvector_calculus_identities_hold_exactly():
     assert fields >= 100
 
 
+C05_RINGS = {"z^3/3": ("z",), "x^3 + y^3": ("x", "y"),
+             "x^3 + y^3 + w^3": ("x", "y", "w")}
+
+
+def drawn_pv(data, names, size=None, max_deg=4):
+    """A PV field with up to three index sets, all of `size` when given."""
+    n = len(names)
+    lo, hi = (0, n) if size is None else (size, size)
+    index = st.sets(st.integers(0, n - 1), min_size=lo, max_size=hi)
+    mono = st.tuples(*[st.integers(0, max_deg)] * n)
+    coeffs = st.dictionaries(mono, st.fractions(-4, 4, max_denominator=3),
+                             min_size=1, max_size=3)
+    parts = data.draw(st.dictionaries(index.map(lambda I: tuple(sorted(I))),
+                                      coeffs, max_size=3))
+    return PVField({I: Polynomial(c, names) for I, c in parts.items()}, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_c05_polyvector_identities_hold_on_drawn_fields(data):
+    text = data.draw(st.sampled_from(sorted(C05_RINGS)))
+    names = C05_RINGS[text]
+    f = P(text, names)
+    v = drawn_pv(data, names)
+    assert contract_gradient(f, contract_gradient(f, v)).is_zero()
+    assert divergence(divergence(v)).is_zero()
+    anti = contract_gradient(f, divergence(v)) + divergence(contract_gradient(f, v))
+    assert anti.is_zero()
+    ka = data.draw(st.integers(0, len(names)))
+    kb = data.draw(st.integers(0, len(names)))
+    a = drawn_pv(data, names, ka)
+    b = drawn_pv(data, names, kb)
+    c = drawn_pv(data, names)
+    sign = -1 if ((ka + 1) * kb) % 2 else 1
+    lhs = bv_bracket(a, wedge(b, c))
+    rhs = wedge(bv_bracket(a, b), c) + sign * wedge(b, bv_bracket(a, c))
+    assert (lhs - rhs).is_zero()
+
+
 def test_c06_cubic_lattice_reduction_and_antidiagonal_pairing():
     L = BrieskornLattice(Pz("z^3/3"), order=8)
     assert L.reduce(Pz("z^2")).is_zero()
@@ -236,6 +277,7 @@ def test_c12_ellipticity_verdicts_match_expectations():
     for text, names in suite:
         report = check_quasihomogeneous_ellipticity(P(text, names))
         assert report.verdict == "Satisfied", text
+    start = time.monotonic()
     shifted = check_laurent_nondegenerate(
         parse_polynomial("z+2+z^-1", ("z",), laurent=True))
     assert shifted.verdict == "Violated"
@@ -246,3 +288,12 @@ def test_c12_ellipticity_verdicts_match_expectations():
     torus = check_laurent_nondegenerate(
         parse_polynomial("x+y+x^-1*y^-1", ("x", "y"), laurent=True))
     assert torus.verdict == "Satisfied"
+    xyw = ("x", "y", "w")
+    torus3 = check_laurent_nondegenerate(
+        parse_polynomial("x+y+w+x^-1*y^-1*w^-1", xyw, laurent=True))
+    assert torus3.verdict == "Satisfied"
+    shifted3 = check_laurent_nondegenerate(
+        parse_polynomial("x+y+w+x^-1*y^-1*w^-1-4", xyw, laurent=True))
+    assert shifted3.verdict == "Violated"
+    assert shifted3.witness == (1 + 0j, 1 + 0j, 1 + 0j)
+    assert time.monotonic() - start <= 10.0

@@ -153,6 +153,22 @@ class TestLaurentNondegeneracy:
             P("x + y + x^-1*y^-1", ("x", "y"), laurent=True))
         assert rep.verdict == SATISFIED
 
+    @pytest.mark.parametrize("text, names", [
+        ("x^2 + 2*x*y + y^2 + w + x^-1*y^-1*w^-1", ("x", "y", "w")),
+        ("x^2 + y^2 + 2*x*y + x^-1*y^-1", ("x", "y")),
+    ])
+    def test_witness_is_a_torus_point_or_none(self, text, names):
+        f = P(text, names, laurent=True)
+        rep = check_laurent_nondegenerate(f)
+        assert rep.verdict == VIOLATED
+        if rep.witness is None:
+            assert "no torus witness" in rep.reason
+            return
+        assert all(1e-3 <= abs(z) <= 1e3 for z in rep.witness)
+        residual = min(max(abs(s.eval_complex(rep.witness)) for s in _face_system(f, F))
+                       for F in newton_polytope(f).faces)
+        assert residual < 1e-8
+
     def test_not_convenient_rejected(self):
         with pytest.raises(PrecondError):
             check_laurent_nondegenerate(P("z", ("z",), laurent=True))
