@@ -70,10 +70,6 @@ class PVField:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def degrees(self) -> set[int]:
-        """Total degrees present (negative of the index-set size)."""
-        return {-len(I) for I in self.parts}
-
     def homogeneous_piece(self, size: int) -> "PVField":
         return PVField({I: p for I, p in self.parts.items() if len(I) == size},
                        self.names)

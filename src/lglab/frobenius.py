@@ -1,13 +1,19 @@
 """Frobenius-manifold data from the universal unfolding of a singularity.
 
-Pipeline: unfold f over its Milnor basis, multiply and take residues in
-the family (order by order in the deformation parameters), flatten the
-residue metric by an order-by-order polynomial coordinate change, lower
-and pull back the structure constants, and integrate them to a potential
-whose third derivatives reproduce them.  Each order of the flattening
-solves d_a sigma_b + d_b sigma_a = S_ab in closed form (Euler's identity)
-and checks the solution against S exactly before using it.  Associativity
-of the family product then appears as the vanishing of the WDVV residual.
+Pipeline: unfold f over its Milnor basis and reduce each product
+phi_a phi_b modulo the family gradient ideal once, order by order in the
+deformation parameters.  The normal forms give the structure constants
+c_ab^e(t); their socle row gives the residue metric,
+eta_ab(t) = mu c_ab^sigma(t) / h(t), where phi_sigma is the socle and h
+the socle coefficient of the family Hessian's normal form.  Flatten the
+metric by an order-by-order polynomial coordinate change, lower and pull
+back the structure constants, and integrate them to the potential in
+closed form by Euler's identity,
+F_d = sum_{a,b,c} s_a s_b s_c F_abc^(d-3) / (d(d-1)(d-2)).  Each order
+of the flattening solves d_a sigma_b + d_b sigma_a = S_ab in closed form
+as well.  Every closed form is checked exactly against the data it
+inverts before it is used.  Associativity of the family product then
+appears as the vanishing of the WDVV residual.
 
 Everything is exact rational arithmetic on truncated multivariate
 series; no floating point enters.
@@ -204,8 +210,6 @@ def family_residue(U: Unfolding, g, nt: int,
                    _cinv: Polynomial | None = None) -> Polynomial:
     """Family residue functional as a t-polynomial, normalized so the
     family Hessian determinant has residue mu."""
-    if U.ring.weights is None:
-        raise PrecondError("family residues require a quasi-homogeneous base")
     if _cinv is None:
         _cinv = _normalizer_inverse(U, nt)
     nf = family_normal_form(U, g, nt)
@@ -226,41 +230,40 @@ def family_multiplication(U: Unfolding, nt: int) -> list[list[list[Polynomial]]]
     znames = U.f.names
     mu = U.mu
     index = {m: e for e, m in enumerate(U.phis)}
-    c = [[[Polynomial.zero(U.tnames) for _ in range(mu)] for _ in range(mu)]
-         for _ in range(mu)]
+    c = [[None] * mu for _ in range(mu)]
     for a in range(mu):
         for b in range(a, mu):
             prod = Polynomial.monomial(
                 tuple(x + y for x, y in zip(U.phis[a], U.phis[b])), 1, znames)
-            nf = family_normal_form(U, prod, nt)
-            coeffs = [dict() for _ in range(mu)]
-            for tm, p in nf.terms.items():
+            coeffs = [{} for _ in range(mu)]
+            for tm, p in family_normal_form(U, prod, nt).terms.items():
                 for zm, val in p.coeffs.items():
                     if zm not in index:
                         raise ComputeError(
                             "family normal form leaves the basis span")
                     coeffs[index[zm]][tm] = val
-            for e in range(mu):
-                poly = Polynomial(coeffs[e], U.tnames)
-                c[a][b][e] = poly
-                c[b][a][e] = poly
+            c[a][b] = c[b][a] = [Polynomial(ce, U.tnames) for ce in coeffs]
     return c
 
 
 def family_metric(U: Unfolding, nt: int) -> list[list[Polynomial]]:
     """eta[a][b](t) = family residue of phi_a * phi_b."""
-    znames = U.f.names
-    mu = U.mu
-    cinv = _normalizer_inverse(U, nt)
-    eta = [[None] * mu for _ in range(mu)]
-    for a in range(mu):
-        for b in range(a, mu):
-            prod = Polynomial.monomial(
-                tuple(x + y for x, y in zip(U.phis[a], U.phis[b])), 1, znames)
-            val = family_residue(U, prod, nt, _cinv=cinv)
-            eta[a][b] = val
-            eta[b][a] = val
-    return eta
+    return _metric_and_structure(U, nt)[0]
+
+
+def _metric_and_structure(U: Unfolding, nt: int):
+    """The family metric and structure constants from one family reduction
+    per product: phi_a phi_b = sum_e c_ab^e phi_e has family residue
+    mu * c_ab^sigma / h, with phi_sigma the socle.  The normalizer comes
+    first, so its preconditions are checked before any product is reduced."""
+    scale = _normalizer_inverse(U, nt) * Fraction(U.ring.mu)
+    c = family_multiplication(U, nt)
+    sigma = U.phis.index(U.ring.socle)
+    eta = [[None] * U.mu for _ in range(U.mu)]
+    for a in range(U.mu):
+        for b in range(a, U.mu):
+            eta[a][b] = eta[b][a] = truncate(c[a][b][sigma] * scale, nt)
+    return eta, c
 
 
 # -- flat coordinates and the potential ---------------------------------------------
@@ -331,140 +334,111 @@ def _integrate_symmetric_gradient(S: list[list[Polynomial]],
     return sigma
 
 
+def _integrate_third_derivatives(
+        T: dict[tuple[int, int, int], Polynomial]) -> Polynomial:
+    """The potential F, free of terms below degree 3, whose third
+    derivatives d_a d_b d_c F are T[a, b, c] for every a <= b <= c.
+
+    Euler's identity, applied three times to the degree-d part of F, gives
+
+        F_d = sum_{a,b,c} s_a s_b s_c T_abc^(d-3) / (d(d-1)(d-2))
+
+    over ordered triples, so each sorted triple enters once per distinct
+    permutation.  T is a third derivative only when F reproduces it, which
+    the exact check once per sorted triple decides.
+    """
+    names = next(iter(T.values())).names
+    coeffs: dict[Monomial, Fraction] = {}
+    for (a, b, c), poly in T.items():
+        perms = len(set(itertools.permutations((a, b, c))))
+        for m, val in poly.coeffs.items():
+            d = sum(m) + 3
+            target = tuple(e + (i == a) + (i == b) + (i == c)
+                           for i, e in enumerate(m))
+            coeffs[target] = (coeffs.get(target, Fraction(0)) +
+                              val * Fraction(perms, d * (d - 1) * (d - 2)))
+    F = Polynomial(coeffs, names)
+    for (a, b, c), poly in T.items():
+        if F.diff(a).diff(b).diff(c) != poly:
+            raise ComputeError(
+                f"potential fails to reproduce the structure tensor at {(a, b, c)}: "
+                "third-derivative tensor is not integrable")
+    return F
+
+
+def _pull_back(T: dict[tuple[int, ...], Polynomial], t_of_s: list[Polynomial],
+               nt: int) -> dict[tuple[int, ...], Polynomial]:
+    """Pull a totally symmetric tensor back along t = t(s), truncated at
+    order nt: sum_{p,q,...} (d_a t_p)(d_b t_q)... T_pq...(t(s)) for each
+    sorted index tuple (a, b, ...), the only entries T stores.  The
+    Jacobian is contracted into one slot at a time."""
+    at_s = {idx: truncate(v.subs(t_of_s), nt) for idx, v in T.items()}
+    jac = [[(p, d) for p, d in enumerate(t.diff(a) for t in t_of_s)
+            if not d.is_zero()] for a in range(len(t_of_s))]
+    zero = Polynomial.zero(t_of_s[0].names)
+    rank = len(next(iter(T)))
+    cur = {idx: at_s[tuple(sorted(idx))]
+           for idx in itertools.product(range(len(t_of_s)), repeat=rank)}
+    for slot in range(rank):
+        cur = {idx: sum((truncate(d * cur[idx[:slot] + (p,) + idx[slot + 1:]], nt)
+                         for p, d in jac[idx[slot]]), zero) for idx in cur}
+    return {idx: cur[idx] for idx in T}
+
+
 def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
     """Flatten the family metric, pull back the structure constants, and
     integrate them to the potential.  All steps verify their own
     consistency and raise ComputeError on obstruction."""
     mu = U.mu
     snames = tuple(f"s{a}" for a in range(mu))
-    eta_t = family_metric(U, nt)
+    eta_t, c_t = _metric_and_structure(U, nt)
     eta0 = [[eta_t[a][b].constant_term() for b in range(mu)] for a in range(mu)]
     if exact_rank([list(r) for r in eta0]) != mu:
         raise PrecondError("residue metric degenerate at the base point")
     eta0_inv = invert_exact(eta0)
-    c_t = family_multiplication(U, nt)
 
     # order-by-order flattening: t(s) = s + corrections of degree >= 2
     t_of_s = [Polynomial.variable(a, snames) for a in range(mu)]
-
-    def pulled_back_metric(upto: int) -> list[list[Polynomial]]:
-        J = [[t_of_s[p].diff(a) for p in range(mu)] for a in range(mu)]
-        out = [[Polynomial.zero(snames) for _ in range(mu)] for _ in range(mu)]
-        eta_s = [[truncate(eta_t[p][q].subs(t_of_s), upto) for q in range(mu)]
-                 for p in range(mu)]
-        for a in range(mu):
-            for b in range(a, mu):
-                acc = Polynomial.zero(snames)
-                for p in range(mu):
-                    for q in range(mu):
-                        if J[a][p].is_zero() or J[b][q].is_zero():
-                            continue
-                        acc = acc + truncate(J[a][p] * J[b][q] * eta_s[p][q], upto)
-                out[a][b] = acc
-                out[b][a] = acc
-        return out
-
+    pairs = list(itertools.combinations_with_replacement(range(mu), 2))
+    eta_sym = {(a, b): eta_t[a][b] for a, b in pairs}
     for k in range(1, nt + 1):
-        current = pulled_back_metric(k)
-        S = [[degree_part(current[a][b] -
-                          Polynomial.constant(eta0[a][b], snames), k)
+        current = _pull_back(eta_sym, t_of_s, k)
+        # the degree-k defect, to be cancelled by a degree-(k+1) correction
+        S = [[degree_part(Polynomial.constant(eta0[a][b], snames) -
+                          current[min(a, b), max(a, b)], k)
               for b in range(mu)] for a in range(mu)]
-        if all(S[a][b].is_zero() for a in range(mu) for b in range(mu)):
+        if all(S[a][b].is_zero() for a, b in pairs):
             continue
-        negS = [[S[a][b] * Fraction(-1) for b in range(mu)] for a in range(mu)]
-        sigma = _integrate_symmetric_gradient(negS, k)
-        # raise indices: h^p = sum_b inv_eta[p][b] sigma_b
+        sigma = _integrate_symmetric_gradient(S, k)
+        # raise indices: t_p += sum_b inv_eta[p][b] sigma_b
         for p in range(mu):
-            h = Polynomial.zero(snames)
-            for b in range(mu):
-                if eta0_inv[p][b] != 0:
-                    h = h + sigma[b] * eta0_inv[p][b]
-            t_of_s[p] = t_of_s[p] + h
-
-    final = pulled_back_metric(nt)
-    for a in range(mu):
-        for b in range(mu):
-            if final[a][b] != Polynomial.constant(eta0[a][b], snames):
-                raise ComputeError("metric flattening failed verification")
+            t_of_s[p] = sum((sigma[b] * eta0_inv[p][b] for b in range(mu)
+                             if eta0_inv[p][b] != 0), t_of_s[p])
+    final = _pull_back(eta_sym, t_of_s, nt)
+    if any(final[a, b] != Polynomial.constant(eta0[a][b], snames) for a, b in pairs):
+        raise ComputeError("metric flattening failed verification")
 
     # inverse coordinate change by fixed-point iteration
     h_parts = [t_of_s[a] - Polynomial.variable(a, snames) for a in range(mu)]
     s_of_t = [Polynomial.variable(a, U.tnames) for a in range(mu)]
     for _ in range(nt + 1):
-        new = []
-        for a in range(mu):
-            corr = truncate(h_parts[a].subs(s_of_t), nt)
-            new.append(Polynomial.variable(a, U.tnames) - corr)
+        new = [Polynomial.variable(a, U.tnames) - truncate(h_parts[a].subs(s_of_t), nt)
+               for a in range(mu)]
         if new == s_of_t:
             break
         s_of_t = new
+    # compared at order >= 1: at nt = 0 truncation would drop the linear terms
     for a in range(mu):
-        if truncate(t_of_s[a].subs(s_of_t), nt) != Polynomial.variable(a, U.tnames):
+        if (truncate(t_of_s[a].subs(s_of_t), max(nt, 1)) !=
+                Polynomial.variable(a, U.tnames)):
             raise ComputeError("coordinate change failed to invert")
 
-    # lowered structure constants (the residue of a triple product, so the
-    # tensor is totally symmetric), pulled back to flat coordinates
-    J = [[t_of_s[p].diff(a) for p in range(mu)] for a in range(mu)]
-    pulled = {}
-    for p in range(mu):
-        for q in range(p, mu):
-            for r in range(q, mu):
-                acc = Polynomial.zero(U.tnames)
-                for e in range(mu):
-                    if not c_t[p][q][e].is_zero() and not eta_t[e][r].is_zero():
-                        acc = acc + truncate(c_t[p][q][e] * eta_t[e][r], nt)
-                val = truncate(acc.subs(t_of_s), nt)
-                for perm in set(itertools.permutations((p, q, r))):
-                    pulled[perm] = val
-
-    def tilde_c(a, b, c):
-        acc = Polynomial.zero(snames)
-        for p in range(mu):
-            if J[a][p].is_zero():
-                continue
-            for q in range(mu):
-                if J[b][q].is_zero():
-                    continue
-                for r in range(mu):
-                    if J[c][r].is_zero() or pulled[(p, q, r)].is_zero():
-                        continue
-                    acc = acc + truncate(
-                        J[a][p] * J[b][q] * J[c][r] * pulled[(p, q, r)], nt)
-        return acc
-
-    tensor: dict[tuple[int, int, int], Polynomial] = {}
-    for a in range(mu):
-        for b in range(a, mu):
-            for c in range(b, mu):
-                val = tilde_c(a, b, c)
-                for perm in set(itertools.permutations((a, b, c))):
-                    tensor[perm] = val
-
-    # integrate the third-derivative tensor to the potential
-    pot_coeffs: dict[Monomial, Fraction] = {}
-    for (a, b, c), poly in tensor.items():
-        if (a, b, c) != tuple(sorted((a, b, c))):
-            continue
-        for m, val in poly.coeffs.items():
-            target = tuple(e + (1 if i == a else 0) + (1 if i == b else 0) +
-                           (1 if i == c else 0) for i, e in enumerate(m))
-            probe = Polynomial.monomial(target, 1, snames)
-            factor = probe.diff(a).diff(b).diff(c).coeffs.get(m)
-            coeff = val / factor
-            if target in pot_coeffs:
-                if pot_coeffs[target] != coeff:
-                    raise ComputeError(
-                        f"potential integration inconsistent at {target}: "
-                        "third-derivative tensor is not integrable")
-            else:
-                pot_coeffs[target] = coeff
-    # cross-validate every (a,b,c,m) determination, including permutations
-    potential = Polynomial(pot_coeffs, snames)
-    for (a, b, c), poly in tensor.items():
-        got = truncate(potential.diff(a).diff(b).diff(c), nt)
-        if got != truncate(poly, nt):
-            raise ComputeError(
-                f"potential fails to reproduce the structure tensor at {(a, b, c)}")
+    # lowered structure constants: the residue of a triple product, so the
+    # tensor is totally symmetric and one sorted triple stands for all
+    lowered = {(p, q, r): sum((truncate(c_t[p][q][e] * eta_t[e][r], nt)
+                               for e in range(mu)), Polynomial.zero(U.tnames))
+               for p, q, r in itertools.combinations_with_replacement(range(mu), 3)}
+    potential = _integrate_third_derivatives(_pull_back(lowered, t_of_s, nt))
 
     euler = None
     if U.ring.weights is not None:
@@ -484,11 +458,13 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
     contraction once per class {sorted(a, b), sorted(c, d)}.
     """
     nt = D.nt if nt is None else nt
+    if nt > D.nt:
+        raise PrecondError(f"WDVV residual to t-order {nt} needs a potential "
+                           f"built to that order; this one has t-order {D.nt}")
     mu = D.unfolding.mu
     inv = invert_exact(D.eta0)
-    third = {}
-    for a, b, c in itertools.combinations_with_replacement(range(mu), 3):
-        third[(a, b, c)] = truncate(D.potential.diff(a).diff(b).diff(c), nt)
+    third = {t: truncate(D.third_derivatives(*t), nt)
+             for t in itertools.combinations_with_replacement(range(mu), 3)}
 
     def F(a, b, c):
         return third[tuple(sorted((a, b, c)))]
@@ -510,11 +486,8 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
         return acc
 
     worst = Fraction(0)
-    for a in range(mu):
-        for b in range(mu):
-            for c in range(mu):
-                for d in range(mu):
-                    res = contract(a, b, c, d) - contract(a, c, b, d)
-                    for v in res.coeffs.values():
-                        worst = max(worst, abs(v))
+    for a, b, c, d in itertools.product(range(mu), repeat=4):
+        res = contract(a, b, c, d) - contract(a, c, b, d)
+        for v in res.coeffs.values():
+            worst = max(worst, abs(v))
     return worst

@@ -109,9 +109,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.coeffs)
-
     def constant_term(self) -> Fraction:
         return self.coeffs.get(tuple(0 for _ in self.names), Fraction(0))
 
@@ -221,12 +218,6 @@ class Polynomial:
         if not self.coeffs:
             return 0
         return max(sum(m) for m in self.coeffs)
-
-    def weighted_degrees(self, weights: "WeightSystem") -> set[Fraction]:
-        return {sum(Fraction(e) * q for e, q in zip(m, weights.q)) for m in self.coeffs}
-
-    def support(self) -> list[Monomial]:
-        return sorted(self.coeffs)
 
     def eval_complex(self, point) -> complex:
         """Evaluate at a tuple of complex numbers (Laurent-safe off the axes)."""

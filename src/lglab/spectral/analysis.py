@@ -335,10 +335,6 @@ class HodgeSplit:
     relative_residual: float
     max_cross: float
 
-    def describe(self) -> dict:
-        return {"relative_residual": self.relative_residual,
-                "max_cross": self.max_cross}
-
 
 def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
                     backend: str = "fd2", seed: int = 7,
@@ -405,12 +401,6 @@ class SplittingSeries:
     residuals: list
     truncation_tail: float
     harmonic_defect: float
-
-    def describe(self) -> dict:
-        return {"orders": len(self.coefficients) - 1,
-                "residuals": [float(r) for r in self.residuals],
-                "truncation_tail": float(self.truncation_tail),
-                "harmonic_defect": float(self.harmonic_defect)}
 
 
 def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,

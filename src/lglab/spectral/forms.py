@@ -18,8 +18,6 @@ import numpy as np
 from ..util import PrecondError
 from .grid import Grid
 
-COMPONENT_TYPES = ((0, 0), (1, 0), (0, 1), (1, 1))
-COMPONENT_DEGREES = (0, 1, 1, 2)
 WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 SCALES = (1.0, np.sqrt(2.0), np.sqrt(2.0), 2.0)
 DEGREE_SECTORS = {0: (0,), 1: (1, 2), 2: (3,)}
@@ -37,27 +35,6 @@ class DiscreteForm:
         if comps.shape != (4, m, m):
             raise PrecondError(f"component array must have shape (4,{m},{m})")
         self.comps = comps
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "DiscreteForm":
-        return cls(grid)
-
-    @classmethod
-    def from_components(cls, grid: Grid, **named) -> "DiscreteForm":
-        """Keywords: function, dz, dzbar, top — each a field or callable."""
-        slots = {"function": 0, "dz": 1, "dzbar": 2, "top": 3}
-        out = cls(grid)
-        for name, value in named.items():
-            if name not in slots:
-                raise PrecondError(f"unknown component {name!r}")
-            field = value(grid.z) if callable(value) else value
-            out.comps[slots[name]] = np.asarray(field, dtype=complex)
-        return out
-
-    def copy(self) -> "DiscreteForm":
-        return DiscreteForm(self.grid, self.comps.copy())
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -39,10 +39,6 @@ class Grid:
         """Sample a callable of the complex coordinate on the grid."""
         return np.asarray(fn(self.z), dtype=complex)
 
-    def describe(self) -> dict:
-        return {"half_width": self.half_width, "points": self.points,
-                "spacing": self.h}
-
 
 def build_grid(half_width: float, points: int) -> Grid:
     if not float(half_width) > 0:

@@ -297,3 +297,26 @@ def test_c12_ellipticity_verdicts_match_expectations():
     assert shifted3.verdict == "Violated"
     assert shifted3.witness == (1 + 0j, 1 + 0j, 1 + 0j)
     assert time.monotonic() - start <= 10.0
+
+
+def test_c13_exceptional_frobenius_data_agree_with_the_lattice():
+    # E6, E7, E8 and the simple elliptic E~6: WDVV holds exactly, the flat
+    # metric at the base point is the lattice's residue pairing, and the
+    # Euler degrees d_a = 1 - deg phi_a and the connection exponents
+    # alpha_a = deg phi_a + sum q_i add up to 1 + sum q_i
+    start = time.monotonic()
+    xy, xyw = ("x", "y"), ("x", "y", "w")
+    cases = [("x^3+y^4", xy, 3), ("x^3+x*y^3", xy, 3), ("x^3+y^5", xy, 3),
+             ("x^3+y^3+w^3", xyw, 2)]
+    for text, names, nt in cases:
+        f = P(text, names)
+        D = build_flat_potential(universal_unfolding(f), nt=nt)
+        assert wdvv_residual(D) == 0, text
+        L = BrieskornLattice(f)
+        assert D.eta0 == L.residue_matrix(), text
+        total = 1 + sum(D.unfolding.ring.weights.q)
+        spectrum = L.connection_spectrum()
+        assert len(spectrum) == len(D.euler_degrees) == D.unfolding.mu
+        for d, alpha in zip(D.euler_degrees, spectrum):
+            assert d + alpha == total, text
+    assert time.monotonic() - start <= 120.0

@@ -151,6 +151,16 @@ def test_frobenius_reuses_the_series_order_flag(tmp_path, capsys):
     assert report["results"]["potential"]  # closed form is non-empty
 
 
+def test_frobenius_accepts_t_order_zero(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["frobenius", "z^2/2", "--t-order", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = json.loads(out.read_text())["results"]
+    assert results["t_order"] == 0
+    assert results["potential"] == {"s0^3": "1/6"}
+    assert results["wdvv_residual"] == "0"
+
+
 def test_spectrum_exports_tables_and_kernel_count(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["spectrum", "z^2/2", "--grid", "33",

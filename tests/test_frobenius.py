@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lglab import frobenius
 from lglab.frobenius import (
     TPoly,
     _integrate_symmetric_gradient,
+    _integrate_third_derivatives,
     build_flat_potential,
+    degree_part,
     family_metric,
     family_multiplication,
     family_normal_form,
@@ -154,6 +157,21 @@ def test_base_point_metric_matches_one_point_residues():
                 assert eta[a][b].constant_term() == ring.residue(prod)
 
 
+def test_metric_is_the_family_residue_as_a_full_series():
+    # read off the socle row of the structure constants, the metric must
+    # equal the family residue of each product at every computed t-order
+    for src, names, nt in [("z^4/4", None, 4), ("x^3+y^3", ("x", "y"), 3),
+                           ("x^3+y^4", ("x", "y"), 3)]:
+        U = unfold(src, names)
+        eta = family_metric(U, nt)
+        for a in range(U.mu):
+            for b in range(U.mu):
+                prod = Polynomial.monomial(
+                    tuple(x + y for x, y in zip(U.phis[a], U.phis[b])),
+                    1, U.f.names)
+                assert eta[a][b] == family_residue(U, prod, nt), (src, a, b)
+
+
 def test_cubic_metric_is_constant_to_all_computed_orders():
     U = unfold("z^3/3")
     eta = family_metric(U, 8)
@@ -254,6 +272,57 @@ def test_closed_form_flattening_inverts_the_symmetrized_gradient(data):
     assert _integrate_symmetric_gradient(S, k) == sigma
 
 
+def test_each_product_is_reduced_once(monkeypatch):
+    calls = []
+
+    def counting(U, g, nt):
+        calls.append(g)
+        return family_normal_form(U, g, nt)
+
+    monkeypatch.setattr(frobenius, "family_normal_form", counting)
+    for src, names in [("z^4/4", None), ("x^3+y^4", ("x", "y"))]:
+        U = unfold(src, names)
+        calls.clear()
+        build_flat_potential(U, nt=2)
+        # the mu(mu+1)/2 products phi_a phi_b (a <= b) and the Hessian
+        assert len(calls) == U.mu * (U.mu + 1) // 2 + 1, src
+
+
+def test_t_order_zero_is_the_cubic_part_of_the_potential():
+    cases = [("z^2/2", None), ("z^3/3", None), ("z^4/4", None),
+             ("x^3+y^4", ("x", "y")), ("x^3+y^3+w^3", ("x", "y", "w"))]
+    for src, names in cases:
+        U = unfold(src, names)
+        D0 = build_flat_potential(U, nt=0)
+        D1 = build_flat_potential(U, nt=1)
+        assert D0.potential == degree_part(D1.potential, 3), src
+        assert wdvv_residual(D0) == 0, src
+
+
+def test_third_derivatives_of_a_non_potential_are_refused():
+    names = ("s0", "s1")
+    T = {t: Polynomial.zero(names)
+         for t in itertools.combinations_with_replacement(range(2), 3)}
+    T[0, 0, 0] = Polynomial.variable(1, names)
+    with pytest.raises(ComputeError, match="not integrable"):
+        _integrate_third_derivatives(T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_euler_integration_recovers_a_homogeneous_potential(data):
+    n = data.draw(st.integers(2, 4), label="n")
+    d = data.draw(st.integers(3, 5), label="d")
+    names = tuple(f"s{a}" for a in range(n))
+    monos = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                min_size=len(monos), max_size=len(monos)))
+    F = Polynomial(dict(zip(monos, coeffs)), names)
+    T = {(a, b, c): F.diff(a).diff(b).diff(c)
+         for a, b, c in itertools.combinations_with_replacement(range(n), 3)}
+    assert _integrate_third_derivatives(T) == F
+
+
 def test_coordinate_change_is_tangent_to_identity():
     for src, names in [("z^4/4", None), ("x^3+y^3", ("x", "y"))]:
         D = build_flat_potential(unfold(src, names), nt=3)
@@ -340,6 +409,16 @@ def test_wdvv_detects_a_broken_potential():
     D = build_flat_potential(unfold("z^4/4"), nt=5)
     D.potential = D.potential + parse_polynomial("s1^2*s2^3", ("s0", "s1", "s2"))
     assert wdvv_residual(D, 5) != 0
+
+
+@pytest.mark.parametrize("src,names", [("z^4/4", None), ("x^3+y^4", ("x", "y"))])
+def test_wdvv_residual_refuses_an_order_past_the_potential(src, names):
+    # the potential carries no information beyond its own t-order, so a
+    # residual there would be nonzero for a valid potential
+    D = build_flat_potential(unfold(src, names), nt=1)
+    with pytest.raises(PrecondError, match="t-order 2.*t-order 1"):
+        wdvv_residual(D, 2)
+    assert wdvv_residual(D, 1) == wdvv_residual(D, 0) == 0
 
 
 def _plain_wdvv_residual(D, nt):
