@@ -11,8 +11,9 @@ validated against a direct form-level implementation in the test suite).
 On top of the complex:
 
 - ``BrieskornLattice.reduce`` rewrites a function class as a u-power
-  series supported on the Milnor monomial basis, with an exact
-  certificate for the discarded coboundary;
+  series supported on the Milnor monomial basis;
+  ``reduce_with_certificate`` also returns an exact certificate for the
+  discarded coboundary;
 - ``pairing`` is the u-series extension of the Grothendieck residue
   pairing, sesquilinear in the sense that the second argument's u-series
   is evaluated at -u;
@@ -325,12 +326,12 @@ class BrieskornLattice:
         self._units = [tuple(Fraction(1) if i == p else Fraction(0)
                              for i in range(self.mu)) for p in range(self.mu)]
         self._pair_table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._basis_residues: list[Fraction] | None = None
 
     # -- reduction --------------------------------------------------------
 
     def reduce(self, g, order: int | None = None) -> LatticeElement:
-        el, _ = self.reduce_with_certificate(g, order)
-        return el
+        return self._reduce(g, order, certify=False)[0]
 
     def reduce_with_certificate(self, g, order: int | None = None
                                 ) -> tuple[LatticeElement, USeriesPV]:
@@ -345,6 +346,12 @@ class BrieskornLattice:
 
         as u-series of functions, exactly, up to the truncation order.
         """
+        return self._reduce(g, order, certify=True)
+
+    def _reduce(self, g, order: int | None, certify: bool
+                ) -> tuple[LatticeElement, USeriesPV | None]:
+        """The reduction loop; the certificate eta is built only when asked
+        for, and is None otherwise."""
         N = self.order if order is None else order
         series = self._coerce_series(g, N)
         names = self.f.names
@@ -358,21 +365,23 @@ class BrieskornLattice:
             if gk.total_degree() > self.DEGREE_CAP:
                 raise ComputeError("reduction carries exceed the degree cap")
             nf, quot = self.ring.reduce_with_quotients(gk)
-            vec = [Fraction(0)] * self.mu
-            for m, c in nf.coeffs.items():
-                vec[self.ring._index[m]] = c
-            if any(x != 0 for x in vec):
-                prev = out.get(k, tuple(Fraction(0) for _ in range(self.mu)))
-                out[k] = tuple(a + b for a, b in zip(prev, vec))
-            eta_k = PVField({(i,): quot[i] for i in range(len(names))}, names)
-            if not eta_k.is_zero():
-                cert[k] = cert[k] + eta_k if k in cert else eta_k
+            # each u-power is reduced once, so out[k] is set here only
+            if not nf.is_zero():
+                vec = [Fraction(0)] * self.mu
+                for m, c in nf.coeffs.items():
+                    vec[self.ring._index[m]] = c
+                out[k] = tuple(vec)
+            if certify:
+                eta_k = PVField({(i,): quot[i] for i in range(len(names))}, names)
+                if not eta_k.is_zero():
+                    cert[k] = cert[k] + eta_k if k in cert else eta_k
             carry = Polynomial.zero(names)
             for i in range(len(names)):
                 carry = carry + quot[i].diff(i)
             if not carry.is_zero() and k + 1 <= N:
                 work[k + 1] = work.get(k + 1, Polynomial.zero(names)) - carry
-        return (LatticeElement(out, N), USeriesPV(cert, N, names))
+        return (LatticeElement(out, N),
+                USeriesPV(cert, N, names) if certify else None)
 
     def _coerce_series(self, g, N: int) -> dict[int, Polynomial]:
         names = self.f.names
@@ -419,13 +428,16 @@ class BrieskornLattice:
             prod = Polynomial.monomial(self.ring.basis[key[0]], 1, names) * \
                 Polynomial.monomial(self.ring.basis[key[1]], 1, names)
             red = self.reduce(prod, self.order + 2)
+            if self._basis_residues is None:
+                self._basis_residues = [
+                    self.ring.residue(Polynomial.monomial(m, 1, names))
+                    for m in self.ring.basis]
             table = {}
             for k, vec in red.coords.items():
                 val = Fraction(0)
-                for c, m in zip(vec, self.ring.basis):
+                for c, r in zip(vec, self._basis_residues):
                     if c != 0:
-                        val += c * self.ring.residue(
-                            Polynomial.monomial(m, 1, names))
+                        val += c * r
                 if val != 0:
                     table[k] = val
             self._pair_table[key] = table

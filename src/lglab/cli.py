@@ -30,7 +30,8 @@ from .brieskorn import BrieskornLattice
 from .ellipticity import (check_laurent_nondegenerate,
                           check_quasihomogeneous_ellipticity,
                           growth_table_csv, numeric_growth_table)
-from .frobenius import build_flat_potential, universal_unfolding, wdvv_residual
+from .frobenius import (build_flat_potential, truncate, universal_unfolding,
+                        wdvv_residual)
 from .groebner import milnor_ring
 from .poly import PolyError, Polynomial, infer_weights, parse_polynomial
 from .util import ComputeError, PrecondError, dump_json, frac_str, jsonable
@@ -327,6 +328,29 @@ def _cmd_spectrum(cfg: RunConfig) -> Report:
 # -- verify suite -----------------------------------------------------------
 
 
+def _check_truncated_arithmetic(seed: int):
+    """``mul_trunc`` and ``subs_trunc`` against the full product and
+    substitution truncated afterwards, on seeded random polynomials."""
+    import random
+    rng = random.Random(seed)
+
+    def draw(names):
+        return Polynomial({tuple(rng.randint(0, 4) for _ in names):
+                           Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                           for _ in range(rng.randint(0, 6))}, names)
+
+    for trial in range(40):
+        names = ("x", "y", "w")[:rng.randint(2, 3)]
+        p, q = draw(names), draw(names)
+        values = [draw(("s", "t")) for _ in names]
+        nt = rng.randint(0, 8)
+        if p.mul_trunc(q, nt) != truncate(p * q, nt):
+            return False, f"mul_trunc differs at trial {trial}: ({p}) * ({q}), nt={nt}"
+        if p.subs_trunc(values, nt) != truncate(p.subs(values), nt):
+            return False, f"subs_trunc differs at trial {trial}: {p}, nt={nt}"
+    return True, "40 seeded products and substitutions match full-then-truncate"
+
+
 def _check_milnor_numbers():
     ring = milnor_ring(parse_polynomial("z^3/3", ("z",)))
     if ring.mu != 2:
@@ -487,6 +511,7 @@ def _check_kernel_count(seed: int):
 def _cmd_verify(cfg: RunConfig) -> Report:
     report = Report("verify", cfg)
     checks = [
+        ("poly:truncated-arithmetic", lambda: _check_truncated_arithmetic(cfg.seed)),
         ("groebner:milnor-number", _check_milnor_numbers),
         ("brieskorn:reduction", _check_lattice_reduction),
         ("brieskorn:residue-pairing", _check_residue_pairing),

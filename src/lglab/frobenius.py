@@ -16,7 +16,18 @@ inverts before it is used.  Associativity of the family product then
 appears as the vanishing of the WDVV residual.
 
 Everything is exact rational arithmetic on truncated multivariate
-series; no floating point enters.
+series; no floating point enters.  Products and substitutions go through
+``Polynomial.mul_trunc`` and ``Polynomial.subs_trunc``, which never form
+the terms above the truncation order.
+
+The primitive form is taken to be the volume form dx at every t.  That
+holds when every parameter has positive weight 1 - deg phi_a, as for the
+ADE singularities.  A simple elliptic singularity has one marginal
+(weight-0) parameter, and there dx stops being primitive at some order
+(x^3+y^3+w^3 at nt=3, x^4+y^4 at nt=2, x^3+y^6 at nt=3): when the metric
+flattening is obstructed and the unfolding has a marginal parameter,
+``build_flat_potential`` raises ``PrecondError`` (``lg`` exit 3) naming
+its monomial, rather than ``ComputeError``.
 
 The family residue functional extracts the socle coefficient of the
 family normal form, normalized so the family Hessian determinant has
@@ -42,13 +53,13 @@ from .util import (ComputeError, PrecondError, cofactor_det, exact_rank, frac_st
 
 
 def truncate(p: Polynomial, nt: int) -> Polynomial:
-    return Polynomial({m: c for m, c in p.coeffs.items() if sum(m) <= nt},
-                      p.names, p.mode)
+    return Polynomial._trusted({m: c for m, c in p.coeffs.items() if sum(m) <= nt},
+                               p.names, p.mode)
 
 
 def degree_part(p: Polynomial, k: int) -> Polynomial:
-    return Polynomial({m: c for m, c in p.coeffs.items() if sum(m) == k},
-                      p.names, p.mode)
+    return Polynomial._trusted({m: c for m, c in p.coeffs.items() if sum(m) == k},
+                               p.names, p.mode)
 
 
 def series_inverse(p: Polynomial, nt: int) -> Polynomial:
@@ -60,7 +71,7 @@ def series_inverse(p: Polynomial, nt: int) -> Polynomial:
     inv = Polynomial.constant(1, p.names, p.mode)
     power = Polynomial.constant(1, p.names, p.mode)
     for _ in range(nt):
-        power = truncate(power * rest * Fraction(-1), nt)
+        power = power.mul_trunc(rest, nt) * Fraction(-1)
         if power.is_zero():
             break
         inv = inv + power
@@ -177,9 +188,12 @@ def family_normal_form(U: Unfolding, g, nt: int) -> TPoly:
             p = work.pop(tm)
             if p.is_zero():
                 continue
-            nf, quot = U.ring.reduce_with_quotients(p)
+            nf, quot = (U.ring.reduce_with_quotients(p) if deg < nt
+                        else (U.ring.normal_form(p), None))
             if not nf.is_zero():
                 out[tm] = out[tm] + nf if tm in out else nf
+            if quot is None:
+                continue  # every correction would land at t-order nt + 1
             for a in range(U.mu):
                 corr = Polynomial.zero(znames)
                 for i in range(len(znames)):
@@ -188,8 +202,6 @@ def family_normal_form(U: Unfolding, g, nt: int) -> TPoly:
                 if corr.is_zero():
                     continue
                 tm2 = tuple(e + (1 if j == a else 0) for j, e in enumerate(tm))
-                if sum(tm2) > nt:
-                    continue
                 work[tm2] = work.get(tm2, Polynomial.zero(znames)) - corr
     return TPoly(out, nt, U.tnames, znames)
 
@@ -214,7 +226,7 @@ def family_residue(U: Unfolding, g, nt: int,
         _cinv = _normalizer_inverse(U, nt)
     nf = family_normal_form(U, g, nt)
     numer = nf.socle_series(U.ring.socle)
-    return truncate(numer * _cinv * Fraction(U.ring.mu), nt)
+    return numer.mul_trunc(_cinv, nt) * Fraction(U.ring.mu)
 
 
 def _family_hessian(U: Unfolding, nt: int) -> TPoly:
@@ -262,7 +274,7 @@ def _metric_and_structure(U: Unfolding, nt: int):
     eta = [[None] * U.mu for _ in range(U.mu)]
     for a in range(U.mu):
         for b in range(a, U.mu):
-            eta[a][b] = eta[b][a] = truncate(c[a][b][sigma] * scale, nt)
+            eta[a][b] = eta[b][a] = c[a][b][sigma].mul_trunc(scale, nt)
     return eta, c
 
 
@@ -370,19 +382,40 @@ def _pull_back(T: dict[tuple[int, ...], Polynomial], t_of_s: list[Polynomial],
                nt: int) -> dict[tuple[int, ...], Polynomial]:
     """Pull a totally symmetric tensor back along t = t(s), truncated at
     order nt: sum_{p,q,...} (d_a t_p)(d_b t_q)... T_pq...(t(s)) for each
-    sorted index tuple (a, b, ...), the only entries T stores.  The
-    Jacobian is contracted into one slot at a time."""
-    at_s = {idx: truncate(v.subs(t_of_s), nt) for idx, v in T.items()}
-    jac = [[(p, d) for p, d in enumerate(t.diff(a) for t in t_of_s)
-            if not d.is_zero()] for a in range(len(t_of_s))]
-    zero = Polynomial.zero(t_of_s[0].names)
+    sorted index tuple (a, b, ...), the only entries T stores.
+
+    The Jacobian is contracted into one slot at a time.  With k slots done
+    the partial result is symmetric among its first k indices and among
+    the others, so only the entries sorted within both groups are formed,
+    and a lookup sorts its index tuple the same way."""
+    n = len(t_of_s)
     rank = len(next(iter(T)))
-    cur = {idx: at_s[tuple(sorted(idx))]
-           for idx in itertools.product(range(len(t_of_s)), repeat=rank)}
+    jac = [[(p, d) for p, d in enumerate(t.diff(a) for t in t_of_s)
+            if not d.is_zero()] for a in range(n)]
+    zero = Polynomial.zero(t_of_s[0].names)
+    cur = {idx: v.subs_trunc(t_of_s, nt) for idx, v in T.items()}
     for slot in range(rank):
-        cur = {idx: sum((truncate(d * cur[idx[:slot] + (p,) + idx[slot + 1:]], nt)
-                         for p, d in jac[idx[slot]]), zero) for idx in cur}
-    return {idx: cur[idx] for idx in T}
+        new = {}
+        for head in itertools.combinations_with_replacement(range(n), slot + 1):
+            for tail in itertools.combinations_with_replacement(range(n),
+                                                                rank - slot - 1):
+                acc = zero
+                for p, d in jac[head[-1]]:
+                    src = cur[head[:-1] + tuple(sorted((p,) + tail))]
+                    if not src.is_zero():
+                        acc = acc + d.mul_trunc(src, nt)
+                new[head + tail] = acc
+        cur = new
+    return cur
+
+
+def _marginal_monomials(U: Unfolding) -> list[str]:
+    """The deformation monomials phi_a whose parameter has weight
+    1 - deg phi_a = 0, named as t_a = phi_a."""
+    if U.ring.weights is None:
+        return []
+    return [f"{U.tnames[a]} = {Polynomial.monomial(phi, 1, U.f.names)}"
+            for a, phi in enumerate(U.phis) if U.ring.weights.degree(phi) == 1]
 
 
 def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
@@ -409,7 +442,16 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
               for b in range(mu)] for a in range(mu)]
         if all(S[a][b].is_zero() for a, b in pairs):
             continue
-        sigma = _integrate_symmetric_gradient(S, k)
+        try:
+            sigma = _integrate_symmetric_gradient(S, k)
+        except ComputeError as exc:
+            marginal = _marginal_monomials(U)
+            if marginal:
+                raise PrecondError(
+                    f"{exc}; the unfolding has the marginal (weight-0) "
+                    f"parameter {', '.join(marginal)}, so the primitive form "
+                    "is not dx and this construction does not apply") from exc
+            raise
         # raise indices: t_p += sum_b inv_eta[p][b] sigma_b
         for p in range(mu):
             t_of_s[p] = sum((sigma[b] * eta0_inv[p][b] for b in range(mu)
@@ -422,20 +464,20 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
     h_parts = [t_of_s[a] - Polynomial.variable(a, snames) for a in range(mu)]
     s_of_t = [Polynomial.variable(a, U.tnames) for a in range(mu)]
     for _ in range(nt + 1):
-        new = [Polynomial.variable(a, U.tnames) - truncate(h_parts[a].subs(s_of_t), nt)
+        new = [Polynomial.variable(a, U.tnames) - h_parts[a].subs_trunc(s_of_t, nt)
                for a in range(mu)]
         if new == s_of_t:
             break
         s_of_t = new
     # compared at order >= 1: at nt = 0 truncation would drop the linear terms
     for a in range(mu):
-        if (truncate(t_of_s[a].subs(s_of_t), max(nt, 1)) !=
+        if (t_of_s[a].subs_trunc(s_of_t, max(nt, 1)) !=
                 Polynomial.variable(a, U.tnames)):
             raise ComputeError("coordinate change failed to invert")
 
     # lowered structure constants: the residue of a triple product, so the
     # tensor is totally symmetric and one sorted triple stands for all
-    lowered = {(p, q, r): sum((truncate(c_t[p][q][e] * eta_t[e][r], nt)
+    lowered = {(p, q, r): sum((c_t[p][q][e].mul_trunc(eta_t[e][r], nt)
                                for e in range(mu)), Polynomial.zero(U.tnames))
                for p, q, r in itertools.combinations_with_replacement(range(mu), 3)}
     potential = _integrate_third_derivatives(_pull_back(lowered, t_of_s, nt))
@@ -454,8 +496,9 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
 
     F_abc is symmetric in its three indices and eta^{ef} in its two, so the
     contraction C(ab, cd) is unchanged by a <-> b, c <-> d and ab <-> cd:
-    each third derivative is built once per sorted triple and each
-    contraction once per class {sorted(a, b), sorted(c, d)}.
+    each third derivative is built once per sorted triple, each
+    contraction once per class {sorted(a, b), sorted(c, d)}, and each
+    difference of contractions once per unordered pair of distinct classes.
     """
     nt = D.nt if nt is None else nt
     if nt > D.nt:
@@ -469,25 +512,35 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
     def F(a, b, c):
         return third[tuple(sorted((a, b, c)))]
 
+    inv_terms = [(e, f_, inv[e][f_]) for e in range(mu) for f_ in range(mu)
+                 if inv[e][f_] != 0]
     contractions = {}
 
-    def contract(a, b, c, d):
-        key = tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
-        if key in contractions:
-            return contractions[key]
-        acc = Polynomial.zero(D.potential.names)
-        for e in range(mu):
-            for f_ in range(mu):
-                if inv[e][f_] == 0:
-                    continue
-                term = F(a, b, e) * F(f_, c, d) * inv[e][f_]
-                acc = acc + truncate(term, nt)
-        contractions[key] = acc
-        return acc
+    def contract(key):
+        if key not in contractions:
+            (a, b), (c, d) = key
+            acc = Polynomial.zero(D.potential.names)
+            for e, f_, w in inv_terms:
+                left, right = F(a, b, e), F(f_, c, d)
+                if not (left.is_zero() or right.is_zero()):
+                    acc = acc + left.mul_trunc(right, nt) * w
+            contractions[key] = acc
+        return contractions[key]
 
+    def cls(a, b, c, d):
+        return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
+
+    # the residual of (a, b, c, d) is C(k1) - C(k2): zero when the classes
+    # are equal, and the same up to sign for (k1, k2) and (k2, k1), so each
+    # unordered pair of distinct classes is checked once
     worst = Fraction(0)
+    compared = set()
     for a, b, c, d in itertools.product(range(mu), repeat=4):
-        res = contract(a, b, c, d) - contract(a, c, b, d)
+        k1, k2 = sorted((cls(a, b, c, d), cls(a, c, b, d)))
+        if k1 == k2 or (k1, k2) in compared:
+            continue
+        compared.add((k1, k2))
+        res = contract(k1) - contract(k2)
         for v in res.coeffs.values():
             worst = max(worst, abs(v))
     return worst

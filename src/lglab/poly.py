@@ -37,6 +37,12 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
+def _checked_mode(mode: str) -> str:
+    if mode not in ("poly", "laurent"):
+        raise PolyError(f"unknown ring mode {mode!r}")
+    return mode
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over Fraction.
 
@@ -52,8 +58,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Mapping[Monomial, Fraction], names: tuple[str, ...],
                  mode: str = "poly"):
-        if mode not in ("poly", "laurent"):
-            raise PolyError(f"unknown ring mode {mode!r}")
+        _checked_mode(mode)
         clean: dict[Monomial, Fraction] = {}
         for m, c in coeffs.items():
             c = Fraction(c)
@@ -81,24 +86,38 @@ class Polynomial:
         return p
 
     # -- constructors ------------------------------------------------------
+    # Each builds one monomial or none, so it only converts the coefficient
+    # and checks the exponent tuple before wrapping it through ``_trusted``.
 
     @classmethod
     def zero(cls, names: tuple[str, ...], mode: str = "poly") -> "Polynomial":
-        return cls({}, names, mode)
+        return cls._trusted({}, tuple(names), _checked_mode(mode))
 
     @classmethod
     def constant(cls, c, names: tuple[str, ...], mode: str = "poly") -> "Polynomial":
-        z = tuple(0 for _ in names)
-        return cls({z: Fraction(c)}, names, mode)
+        names = tuple(names)
+        c = Fraction(c)
+        return cls._trusted({(0,) * len(names): c} if c else {}, names,
+                            _checked_mode(mode))
 
     @classmethod
     def variable(cls, i: int, names: tuple[str, ...], mode: str = "poly") -> "Polynomial":
-        m = tuple(1 if j == i else 0 for j in range(len(names)))
-        return cls({m: Fraction(1)}, names, mode)
+        names = tuple(names)
+        if not 0 <= i < len(names):
+            raise PolyError(f"variable index {i} out of range for {len(names)} variables")
+        m = (0,) * i + (1,) + (0,) * (len(names) - i - 1)
+        return cls._trusted({m: Fraction(1)}, names, _checked_mode(mode))
 
     @classmethod
     def monomial(cls, m: Monomial, c, names: tuple[str, ...], mode: str = "poly") -> "Polynomial":
-        return cls({tuple(m): Fraction(c)}, names, mode)
+        names = tuple(names)
+        m = tuple(int(e) for e in m)
+        if len(m) != len(names):
+            raise PolyError("exponent tuple length does not match variable count")
+        if _checked_mode(mode) == "poly" and any(e < 0 for e in m):
+            raise PolyError(f"negative exponent {m} in polynomial mode")
+        c = Fraction(c)
+        return cls._trusted({m: c} if c else {}, names, mode)
 
     # -- ring structure ----------------------------------------------------
 
@@ -169,6 +188,28 @@ class Polynomial:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def mul_trunc(self, other: "Polynomial", nt: int) -> "Polynomial":
+        """The product with every term of total degree above nt left out.
+
+        Pairs of terms whose degrees add to more than nt are skipped rather
+        than multiplied, so the result equals the full product truncated
+        at nt, with its terms in the same order."""
+        mode = self._check_compat(other)
+        rhs = [(m, c, sum(m)) for m, c in other.coeffs.items()]
+        out: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.coeffs.items():
+            room = nt - sum(m1)
+            for m2, c2, d2 in rhs:
+                if d2 > room:
+                    continue
+                m = _mono_mul(m1, m2)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+        return Polynomial._trusted({m: c for m, c in out.items() if c},
+                                   self.names, mode)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -243,6 +284,30 @@ class Polynomial:
                     term = term * v ** e
             out = out + term
         return out
+
+    def subs_trunc(self, values: list["Polynomial"], nt: int) -> "Polynomial":
+        """``subs`` truncated at total degree nt, without forming the terms
+        above it.
+
+        The values must be polynomials, so that no degree drops in a
+        product and every intermediate product may be truncated at nt.
+        Each truncated power of a value is formed once and reused."""
+        if self.mode != "poly" or any(v.mode != "poly" for v in values):
+            raise PolyError("truncated substitution requires polynomial mode")
+        names = values[0].names
+        one = Polynomial.constant(1 if nt >= 0 else 0, names)
+        powers = [[one] for _ in values]
+        out: dict[Monomial, Fraction] = {}
+        for m, c in self.coeffs.items():
+            term = one
+            for v, pw, e in zip(values, powers, m):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(pw[-1].mul_trunc(v, nt))
+                    term = pw[e] if term is one else term.mul_trunc(pw[e], nt)
+            for m2, c2 in term.coeffs.items():
+                out[m2] = out[m2] + c * c2 if m2 in out else c * c2
+        return Polynomial._trusted({m: c for m, c in out.items() if c}, names, "poly")
 
     # -- printing ----------------------------------------------------------
 

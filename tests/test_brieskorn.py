@@ -302,6 +302,21 @@ class TestReduction:
         lhs = as_series(series) - twisted_differential(L.f, eta)
         assert (lhs - as_series(L.to_polynomial_series(el))).is_zero()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_reduce_without_certificate_gives_the_same_element(self, data):
+        text = data.draw(st.sampled_from(sorted(CERTIFIED_LATTICES)))
+        L = CERTIFIED_LATTICES[text]
+        names = L.f.names
+        mono = st.tuples(*[st.integers(0, 4)] * len(names))
+        terms = st.dictionaries(mono, st.fractions(-5, 5, max_denominator=5),
+                                max_size=4)
+        series = {k: Polynomial(c, names) for k, c in data.draw(
+            st.dictionaries(st.integers(0, 3), terms, max_size=4)).items()}
+        el, _ = L.reduce_with_certificate(series)
+        assert L.reduce(series) == el
+        assert L._reduce(series, None, certify=False)[1] is None
+
     def test_rejects_positive_dimensional(self):
         with pytest.raises(PrecondError):
             BrieskornLattice(P("x^2*y^2", ("x", "y")))

@@ -1,11 +1,13 @@
 """Command-line surface: config layering, subcommands, exit codes, reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from lglab import groebner
-from lglab.cli import UsageError, main, parse_config
+from lglab.cli import UsageError, _check_truncated_arithmetic, main, parse_config
+from lglab.poly import Polynomial
 
 
 # -- configuration layering -----------------------------------------------------
@@ -173,10 +175,56 @@ def test_spectrum_exports_tables_and_kernel_count(tmp_path, capsys):
     assert (tmp_path / "harmonic_profile.csv").exists()
 
 
-def test_verify_runs_the_whole_checklist(capsys):
-    assert main(["verify"]) == 0
+def test_verify_runs_the_whole_checklist(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--out", str(report)]) == 0
     out = capsys.readouterr().out
     assert "all_passed" in out or "passed" in out
+    ledger = json.loads(report.read_text())["results"]["checks"]
+    [entry] = [c for c in ledger if c["check"] == "poly:truncated-arithmetic"]
+    assert entry["passed"], entry["detail"]
+
+
+def test_truncated_arithmetic_check_catches_a_wrong_product(monkeypatch):
+    monkeypatch.setattr(Polynomial, "mul_trunc",
+                        lambda self, other, nt: self * other)
+    passed, detail = _check_truncated_arithmetic(7)
+    assert not passed and "mul_trunc" in detail
+
+
+# -- reports match the ones written before the truncated arithmetic -------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["frobenius", "x^3+y^4", "--t-order", "3"], "frobenius_e6_t3.json"),
+    (["frobenius", "x^3+x*y^3", "--t-order", "3"], "frobenius_e7_t3.json"),
+    (["frobenius", "x^3+y^5", "--t-order", "3"], "frobenius_e8_t3.json"),
+    (["frobenius", "x^3+y^3+w^3", "--t-order", "2"],
+     "frobenius_e6tilde_t2.json"),
+    (["pairing", "x^4+y^4+w^4"], "pairing_x4y4w4.json"),
+])
+def test_report_matches_the_golden_file(argv, name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# -- simple elliptic inputs past the order where dx stops being primitive -------
+
+
+@pytest.mark.parametrize("f, nt, marginal", [
+    ("x^3+y^3+w^3", 3, "x*y*w"),
+    ("x^4+y^4", 2, "x^2*y^2"),
+    ("x^3+y^6", 3, "x*y^4"),
+])
+def test_marginal_flattening_obstruction_exits_3(f, nt, marginal, capsys):
+    assert main(["frobenius", f, "--t-order", str(nt)]) == 3
+    err = capsys.readouterr().err
+    assert "precondition unmet" in err and "marginal" in err
+    assert f"= {marginal}," in err
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from lglab import frobenius
 from lglab.frobenius import (
+    FrobeniusData,
     TPoly,
+    _pull_back,
     _integrate_symmetric_gradient,
     _integrate_third_derivatives,
     build_flat_potential,
@@ -288,6 +291,77 @@ def test_each_product_is_reduced_once(monkeypatch):
         assert len(calls) == U.mu * (U.mu + 1) // 2 + 1, src
 
 
+def _plain_pull_back(T, t_of_s, nt):
+    """sum over all ordered index tuples, substituted in full, truncated last."""
+    n, rank = len(t_of_s), len(next(iter(T)))
+    jac = [[t.diff(a) for t in t_of_s] for a in range(n)]
+    at_s = {idx: v.subs(t_of_s) for idx, v in T.items()}
+    out = {}
+    for idx in T:
+        acc = Polynomial.zero(t_of_s[0].names)
+        for ps in itertools.product(range(n), repeat=rank):
+            term = at_s[tuple(sorted(ps))]
+            for a, p in zip(idx, ps):
+                term = term * jac[a][p]
+            acc = acc + term
+        out[idx] = truncate(acc, nt)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_pull_back_matches_the_all_index_contraction(data):
+    n = data.draw(st.integers(2, 3), label="n")
+    rank = data.draw(st.integers(2, 3), label="rank")
+    nt = data.draw(st.integers(0, 3), label="nt")
+    tnames = tuple(f"t{a}" for a in range(n))
+    snames = tuple(f"s{a}" for a in range(n))
+    coeff = st.fractions(-3, 3, max_denominator=3)
+
+    def poly(names, lo, hi):
+        monos = [m for m in itertools.product(range(hi + 1), repeat=n)
+                 if lo <= sum(m) <= hi]
+        picked = data.draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                           max_size=3))
+        return Polynomial(picked, names)
+
+    T = {idx: poly(tnames, 0, 2)
+         for idx in itertools.combinations_with_replacement(range(n), rank)}
+    # tangent to the identity, as every flat coordinate change is
+    t_of_s = [Polynomial.variable(a, snames) + poly(snames, 2, 3)
+              for a in range(n)]
+    assert _pull_back(T, t_of_s, nt) == _plain_pull_back(T, t_of_s, nt)
+
+
+@pytest.mark.parametrize("src,names,nt,marginal", [
+    ("x^3+y^3+w^3", ("x", "y", "w"), 3, "t7 = x*y*w"),
+    ("x^4+y^4", ("x", "y"), 2, "t8 = x^2*y^2"),
+])
+def test_marginal_obstruction_is_a_precondition(src, names, nt, marginal):
+    # simple elliptic: dx stops being primitive once the marginal
+    # parameter's terms reach the flattening
+    U = unfold(src, names)
+    with pytest.raises(PrecondError, match=re.escape(marginal)) as info:
+        build_flat_potential(U, nt=nt)
+    assert isinstance(info.value.__cause__, ComputeError)
+    assert "obstructed" in str(info.value)
+    # one order lower still builds, with the same marginal parameter
+    assert wdvv_residual(build_flat_potential(U, nt=nt - 1)) == 0
+
+
+def test_obstruction_without_a_marginal_parameter_stays_a_compute_error(
+        monkeypatch):
+    # E6 has no weight-0 parameter, so an obstructed flattening there is a
+    # failed computation, not an unmet precondition
+    def obstructed(S, k):
+        raise ComputeError(f"metric flattening obstructed at degree {k}")
+
+    monkeypatch.setattr(frobenius, "_integrate_symmetric_gradient", obstructed)
+    with pytest.raises(ComputeError, match="obstructed") as info:
+        build_flat_potential(unfold("x^3+y^4", ("x", "y")), nt=2)
+    assert not isinstance(info.value, PrecondError)
+
+
 def test_t_order_zero_is_the_cubic_part_of_the_potential():
     cases = [("z^2/2", None), ("z^3/3", None), ("z^4/4", None),
              ("x^3+y^4", ("x", "y")), ("x^3+y^3+w^3", ("x", "y", "w"))]
@@ -450,3 +524,22 @@ def test_wdvv_residual_matches_the_all_index_contraction():
         broken = wdvv_residual(D, 2)
         assert broken != 0
         assert broken == _plain_wdvv_residual(D, 2)
+
+
+_FLAT = {src: build_flat_potential(unfold(src, names), nt=1)
+         for src, names in [("z^4/4", None), ("x^3+y^3", ("x", "y"))]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_wdvv_residual_matches_the_all_index_contraction_on_random_potentials(data):
+    D = _FLAT[data.draw(st.sampled_from(sorted(_FLAT)))]
+    snames = D.potential.names
+    monos = [m for m in itertools.product(range(4), repeat=len(snames))
+             if 3 <= sum(m) <= 4]
+    extra = data.draw(st.dictionaries(st.sampled_from(monos),
+                                      st.fractions(-3, 3, max_denominator=3),
+                                      max_size=3))
+    broken = FrobeniusData(**{**vars(D), "potential":
+                              D.potential + Polynomial(extra, snames)})
+    assert wdvv_residual(broken, 1) == _plain_wdvv_residual(broken, 1)

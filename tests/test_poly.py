@@ -238,3 +238,91 @@ class TestCanonicalResults:
         p, q, r = ops
         assert p * (q + r) == p * q + p * r
         assert (p - q) * r == p * r - q * r
+
+
+# -- truncated arithmetic and the fast constructors ---------------------------
+
+
+def _truncated(p: Polynomial, n: int) -> Polynomial:
+    """Full-then-truncate oracle, built through the validating constructor."""
+    return Polynomial({m: c for m, c in p.coeffs.items() if sum(m) <= n},
+                      p.names, p.mode)
+
+
+@st.composite
+def _small_polys(draw, count, nvars=None):
+    """``count`` poly-mode polynomials in 2 or 3 variables, exponents <= 4."""
+    n = draw(st.integers(2, 3)) if nvars is None else nvars
+    names = tuple(f"x{i}" for i in range(n))
+    mono = st.tuples(*[st.integers(0, 4)] * n)
+    coeff = st.fractions(-5, 5, max_denominator=5)
+    return [Polynomial(draw(st.dictionaries(mono, coeff, max_size=6)), names)
+            for _ in range(count)]
+
+
+class TestTruncatedArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(_small_polys(2), st.integers(-1, 10))
+    def test_mul_trunc_is_the_truncated_product(self, ops, n):
+        p, q = ops
+        r = p.mul_trunc(q, n)
+        assert r == _truncated(p * q, n)
+        # the same terms in the same order as the full product's
+        assert list(r.coeffs) == list(_truncated(p * q, n).coeffs)
+        _assert_canonical(r, p.nvars)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(-1, 8))
+    def test_subs_trunc_is_the_truncated_substitution(self, data, n):
+        (p,) = data.draw(_small_polys(1), label="p")
+        values = data.draw(_small_polys(p.nvars, nvars=data.draw(
+            st.integers(2, 3), label="value vars")), label="values")
+        r = p.subs_trunc(values, n)
+        assert r == _truncated(p.subs(values), n)
+        _assert_canonical(r, values[0].nvars)
+
+    def test_subs_trunc_refuses_laurent_values(self):
+        p = P("x*y", names=["x", "y"])
+        v = P("s + s^-1", names=["s"], laurent=True)
+        with pytest.raises(PolyError):
+            p.subs_trunc([v, v], 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["poly", "laurent"]), st.integers(1, 3),
+           st.fractions(-3, 3, max_denominator=3), st.data())
+    def test_fast_constructors_match_the_validating_one(self, mode, n, c, data):
+        names = tuple(f"x{i}" for i in range(n))
+        lo = 0 if mode == "poly" else -3
+        m = data.draw(st.tuples(*[st.integers(lo, 3)] * n), label="m")
+        i = data.draw(st.integers(0, n - 1), label="i")
+        zero = (0,) * n
+        unit = tuple(int(j == i) for j in range(n))
+        built = [(Polynomial.monomial(m, c, names, mode), {m: c}),
+                 (Polynomial.constant(c, names, mode), {zero: c}),
+                 (Polynomial.variable(i, names, mode), {unit: 1}),
+                 (Polynomial.zero(names, mode), {})]
+        for fast, spec in built:
+            slow = Polynomial(spec, names, mode)
+            assert fast == slow and fast.mode == slow.mode
+            _assert_canonical(fast, n)
+        # a zero coefficient leaves no term behind
+        assert Polynomial.monomial(m, 0, names, mode).coeffs == {}
+        assert Polynomial.constant(0, names, mode).coeffs == {}
+
+    def test_fast_constructors_reject_bad_input(self):
+        names = ("x", "y")
+        with pytest.raises(PolyError):
+            Polynomial.monomial((1, 2, 3), 1, names)
+        with pytest.raises(PolyError):
+            Polynomial.monomial((1, -1), 1, names)
+        assert Polynomial.monomial((1, -1), 1, names, "laurent").coeffs == {(1, -1): 1}
+        with pytest.raises(PolyError):
+            Polynomial.variable(2, names)
+        with pytest.raises(PolyError):
+            Polynomial.variable(-1, names)
+        for make in (lambda: Polynomial.zero(names, "ring"),
+                     lambda: Polynomial.constant(1, names, "ring"),
+                     lambda: Polynomial.variable(0, names, "ring"),
+                     lambda: Polynomial.monomial((0, 0), 1, names, "ring")):
+            with pytest.raises(PolyError):
+                make()
