@@ -38,24 +38,20 @@ from .util import ComputeError, PrecondError, dump_json, frac_str, jsonable
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "f": None,
-    "vars": None,
-    "laurent": False,
-    "order": 8,
-    "t_order": 5,
-    "grid": 65,
-    "radius": 4.0,
-    "tol": 1e-3,
-    "seed": 7,
-    "out": None,
-    "plot_dir": None,
-}
 
+def _boolean(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+# the settings a config file or a flag may give, with the reader of each;
+# a setting given by neither keeps the default of its RunConfig field
 _CONVERTERS = {
     "f": str,
     "vars": str,
-    "laurent": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    "laurent": _boolean,
     "order": int,
     "t_order": int,
     "grid": int,
@@ -188,40 +184,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """Flags override config-file values override defaults."""
+    """Flags override config-file values override the RunConfig defaults."""
     ns = _build_parser().parse_args(argv)
     file_values = _read_config_file(ns.config) if ns.config else {}
-    merged = {}
-    explicit = set()
-    for key, default in _DEFAULTS.items():
+    given = {}
+    for key in _CONVERTERS:
         flag = getattr(ns, key, None)
         if flag is not None:
-            merged[key] = flag
-            explicit.add(key)
+            given[key] = flag
         elif key in file_values:
-            merged[key] = file_values[key]
-            explicit.add(key)
-        else:
-            merged[key] = default
+            given[key] = file_values[key]
+    explicit = frozenset(given)
     positional = getattr(ns, "poly", None)
     if positional is not None:
-        if merged["f"] is not None and merged["f"] != positional:
+        if given.get("f") is not None and given["f"] != positional:
             raise UsageError("polynomial given twice (positional and --f) "
                              "with different values")
-        merged["f"] = positional
-    if merged["vars"] is not None and isinstance(merged["vars"], str):
-        merged["vars"] = tuple(
-            v.strip() for v in merged["vars"].split(",") if v.strip())
-    if merged["order"] < 0 or merged["t_order"] < 0:
+        given["f"] = positional
+    if isinstance(given.get("vars"), str):
+        given["vars"] = tuple(
+            v.strip() for v in given["vars"].split(",") if v.strip())
+    cfg = RunConfig(command=ns.command, explicit=explicit, **given)
+    if cfg.order < 0 or cfg.t_order < 0:
         raise UsageError("truncation orders must be nonnegative")
-    if merged["tol"] <= 0:
+    if cfg.tol <= 0:
         raise UsageError("tolerance must be positive")
-    if merged["grid"] < 17 or merged["grid"] % 2 == 0:
+    if cfg.grid < 17 or cfg.grid % 2 == 0:
         raise UsageError("grid needs an odd point count of at least 17 per axis")
-    if merged["radius"] <= 0:
+    if cfg.radius <= 0:
         raise UsageError("grid half-width must be positive")
-    return RunConfig(command=ns.command, explicit=frozenset(explicit),
-                     **merged)
+    return cfg
 
 
 def _require_poly(cfg: RunConfig) -> Polynomial:

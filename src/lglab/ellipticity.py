@@ -242,7 +242,7 @@ def _torus_system_is_empty(system: list[Polynomial], names: tuple[str, ...]) -> 
     gens = [_embed(s, wnames) for s in system]
     prod = Polynomial.monomial(tuple([1] * n + [1]), 1, wnames)
     gens.append(Polynomial.constant(1, wnames) - prod)
-    gb = groebner_basis(gens, "grevlex")
+    gb = groebner_basis(gens)
     return gb.contains_one()
 
 

@@ -6,6 +6,7 @@ representation g_k = sum_i c_{k,i} * f_i in terms of the original
 generators f_i.  Normal forms therefore come with certified quotients:
 ``g = normal_form(g) + sum_i a_i f_i`` with the a_i returned to the
 caller.  Downstream code needs those quotients, not just membership.
+Every basis is taken in one monomial order, grevlex (``grevlex_key``).
 
 Buchberger's algorithm uses the normal selection strategy (Buchberger
 1985): of the queued S-pairs it reduces the one whose lcm has the smallest
@@ -26,24 +27,19 @@ from fractions import Fraction
 from .poly import Monomial, Polynomial, PolyError, WeightSystem, hessian_det, infer_weights
 from .util import ComputeError
 
-# -- monomial orders ---------------------------------------------------------
+# -- the monomial order -------------------------------------------------------
 
 
-def order_key(order: str):
-    """Return key(m) so that larger key = larger monomial."""
-    if order == "lex":
-        return lambda m: m
-    if order == "grlex":
-        return lambda m: (sum(m), m)
-    if order == "grevlex":
-        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-    raise ValueError(f"unknown monomial order {order!r}")
+def grevlex_key(m: Monomial) -> tuple:
+    """Sort key of the graded reverse lexicographic order, the one order
+    used throughout: a larger key is a larger monomial."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def leading_term(p: Polynomial, key) -> tuple[Monomial, Fraction]:
+def leading_term(p: Polynomial) -> tuple[Monomial, Fraction]:
     if p.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    m = max(p.coeffs, key=key)
+    m = max(p.coeffs, key=grevlex_key)
     return m, p.coeffs[m]
 
 
@@ -65,20 +61,18 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
 MAX_S_PAIRS = 2000
 
 
-def divide(g: Polynomial, divisors: list[Polynomial], order: str = "grevlex"
-           ) -> tuple[list[Polynomial], Polynomial]:
+def divide(g: Polynomial, divisors: list[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: g = sum_k q_k * divisors[k] + r.
 
     No monomial of r is divisible by any leading monomial of the divisors.
     """
-    key = order_key(order)
     names, mode = g.names, g.mode
-    lts = [leading_term(d, key) for d in divisors]
+    lts = [leading_term(d) for d in divisors]
     quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     rem: dict[Monomial, Fraction] = {}
     work = dict(g.coeffs)
     # each monomial's order key is computed once, when it first enters work
-    keys = {m: key(m) for m in work}
+    keys = {m: grevlex_key(m) for m in work}
     while work:
         m = max(work, key=keys.__getitem__)
         c = work.pop(m)
@@ -94,7 +88,7 @@ def divide(g: Polynomial, divisors: list[Polynomial], order: str = "grevlex"
                     nv = work.get(mm, 0) - factor * dc
                     if nv:
                         if mm not in keys:
-                            keys[mm] = key(mm)
+                            keys[mm] = grevlex_key(mm)
                         work[mm] = nv
                     else:
                         del work[mm]
@@ -119,16 +113,15 @@ class GroebnerBasis:
     generators: list[Polynomial]
     elements: list[Polynomial]
     cofactors: list[list[Polynomial]]
-    order: str = "grevlex"
 
     def normal_form(self, g: Polynomial) -> Polynomial:
-        _, r = divide(g, self.elements, self.order)
+        _, r = divide(g, self.elements)
         return r
 
     def normal_form_with_quotients(self, g: Polynomial
                                    ) -> tuple[Polynomial, list[Polynomial]]:
         """Return (r, a) with g = r + sum_i a_i * generators[i]."""
-        qs, r = divide(g, self.elements, self.order)
+        qs, r = divide(g, self.elements)
         n = len(self.generators)
         names, mode = g.names, g.mode
         a = [Polynomial.zero(names, mode) for _ in range(n)]
@@ -140,17 +133,14 @@ class GroebnerBasis:
         return r, a
 
     def contains_one(self) -> bool:
-        key = order_key(self.order)
-        return any(leading_term(e, key)[0] == tuple(0 for _ in e.names)
+        return any(leading_term(e)[0] == tuple(0 for _ in e.names)
                    for e in self.elements)
 
     def leading_monomials(self) -> list[Monomial]:
-        key = order_key(self.order)
-        return [leading_term(e, key)[0] for e in self.elements]
+        return [leading_term(e)[0] for e in self.elements]
 
 
-def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
-                   ) -> GroebnerBasis:
+def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
     """Buchberger's algorithm with the normal selection strategy, then
     interreduction.  Exact over Fraction.
 
@@ -163,7 +153,6 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
     names, mode = gens[0].names, gens[0].mode
     if mode != "poly":
         raise PolyError("Groebner bases require polynomial (non-Laurent) mode")
-    key = order_key(order)
 
     basis: list[Polynomial] = []
     cofs: list[list[Polynomial]] = []
@@ -173,13 +162,13 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
     pairs: list = []
 
     def add(g: Polynomial, row: list[Polynomial]) -> None:
-        lm, lc = leading_term(g, key)
+        lm, lc = leading_term(g)
         new = len(basis)
         for k, (lmk, _) in enumerate(lts):
             lcm = _lcm(lm, lmk)
             # first Buchberger criterion: coprime leading monomials
             if lcm != tuple(a + b for a, b in zip(lm, lmk)):
-                heapq.heappush(pairs, (sum(lcm), key(lcm), new, k, lcm))
+                heapq.heappush(pairs, (sum(lcm), grevlex_key(lcm), new, k, lcm))
         basis.append(g)
         cofs.append(row)
         lts.append((lm, lc))
@@ -203,7 +192,7 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
         ti = Polynomial.monomial(_quot(lcm, lmi), Fraction(1) / lci, names, mode)
         tj = Polynomial.monomial(_quot(lcm, lmj), Fraction(1) / lcj, names, mode)
         s = ti * basis[i] - tj * basis[j]
-        qs, r = divide(s, basis, order)
+        qs, r = divide(s, basis)
         if r.is_zero():
             continue
         # most S-polynomials reduce to zero: form cofactors only for the rest
@@ -211,13 +200,13 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
         for k, q in enumerate(qs):
             if not q.is_zero():
                 cof_s = [a - q * b for a, b in zip(cof_s, cofs[k])]
-        _, lc = leading_term(r, key)
+        _, lc = leading_term(r)
         inv = Fraction(1) / lc
         add(r * inv, [a * inv for a in cof_s])
 
     # minimalize: keep only elements whose LM no kept LM divides
     lms = [lm for lm, _ in lts]
-    by_lm = sorted(range(len(basis)), key=lambda k: key(lms[k]))
+    by_lm = sorted(range(len(basis)), key=lambda k: grevlex_key(lms[k]))
     keep: list[int] = []
     for k in by_lm:
         if not any(_divides(lms[t], lms[k]) for t in keep):
@@ -231,23 +220,23 @@ def groebner_basis(generators: list[Polynomial], order: str = "grevlex"
     for k in range(len(basis)):
         others = basis[:k] + basis[k + 1:]
         other_cofs = cofs[:k] + cofs[k + 1:]
-        qs, r = divide(basis[k], others, order)
+        qs, r = divide(basis[k], others)
         if r.is_zero():
             continue
         cof_r = list(cofs[k])
         for t, q in enumerate(qs):
             if not q.is_zero():
                 cof_r = [a - q * b for a, b in zip(cof_r, other_cofs[t])]
-        _, lc = leading_term(r, key)
+        _, lc = leading_term(r)
         inv = Fraction(1) / lc
         reduced.append(r * inv)
         reduced_cofs.append([a * inv for a in cof_r])
 
     reduced_pairs = sorted(zip(reduced, reduced_cofs),
-                           key=lambda rc: key(leading_term(rc[0], key)[0]))
+                           key=lambda rc: grevlex_key(leading_term(rc[0])[0]))
     reduced = [p for p, _ in reduced_pairs]
     reduced_cofs = [c for _, c in reduced_pairs]
-    return GroebnerBasis(gens, reduced, reduced_cofs, order)
+    return GroebnerBasis(gens, reduced, reduced_cofs)
 
 
 # -- Milnor ring data ---------------------------------------------------------
@@ -344,7 +333,7 @@ def _standard_monomials(lead_monos: list[Monomial], nvars: int) -> list[Monomial
     return out
 
 
-def milnor_ring(f: Polynomial, order: str = "grevlex") -> MilnorRing:
+def milnor_ring(f: Polynomial) -> MilnorRing:
     """Compute the quotient by the gradient ideal of f.
 
     The monomial basis is sorted by (weighted degree if f is
@@ -356,7 +345,7 @@ def milnor_ring(f: Polynomial, order: str = "grevlex") -> MilnorRing:
     grads = f.gradient()
     if all(g.is_zero() for g in grads):
         raise ValueError("zero gradient: f is constant")
-    gb = groebner_basis(grads, order)
+    gb = groebner_basis(grads)
     weights = infer_weights(f)
     lms = gb.leading_monomials()
     basis = _standard_monomials(lms, f.nvars)

@@ -5,15 +5,17 @@ A polynomial is a finite map monomial -> Fraction with no explicit zero
 entries.  Two ring modes exist: ``"poly"`` restricts exponents to be
 nonnegative, ``"laurent"`` allows negative exponents.
 
-The text grammar accepted by :func:`parse_polynomial`:
+The text grammar accepted by :func:`parse_polynomial`, read left to
+right with whitespace ignored:
 
-    expr   :=  ['-'] term (('+'|'-') term)*
-    term   :=  factor (('*'|'/') factor)*
-    factor :=  rational | name ['^' int]
+    expr   := '-'* term (('+'|'-') '-'* term)*
+    term   := factor (['*'] factor | '/' int)*
+    factor := int | name ['^' ['-'] int]
 
-Rationals are ``p`` or ``p/q`` in lowest or any terms; a ``/`` inside a
-term must be followed by a rational (``z^2/2`` is half of z^2, ``x/y``
-is rejected).  Adjacency like ``3x`` is tolerated and means ``3*x``.
+``/`` always divides by the next nonzero integer, so ``x/2/3`` is x/6,
+``1/2x`` is x/2 and ``x/y`` is rejected.  A missing ``*`` means a product
+(``3x``, ``x y``).  Negative exponents need Laurent mode.  Text outside
+the grammar raises :class:`PolyError`.
 """
 
 from __future__ import annotations
@@ -345,26 +347,77 @@ class Polynomial:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*/+-]))")
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<op>[-+*/^])|(?P<bad>\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise PolyError(f"unexpected character at {tail[:10]!r}")
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                toks.append((kind, val))
-                break
-    return toks
+class _Parser:
+    """Recursive descent over the grammar in the module docstring; ``index``
+    maps each usable name to its slot in the ``nvars`` exponents of a term."""
+
+    def __init__(self, toks: list, index: dict[str, int], nvars: int, mode: str):
+        self.toks, self.pos = toks, 0
+        self.index, self.nvars, self.mode = index, nvars, mode
+
+    def peek(self) -> tuple[str, str]:
+        return self.toks[self.pos] if self.pos < len(self.toks) else ("end", "")
+
+    def accept(self, op: str) -> bool:
+        found = self.peek() == ("op", op)
+        self.pos += found
+        return found
+
+    def take(self, kind: str, what: str) -> str:
+        found, val = self.peek()
+        if found != kind:
+            raise PolyError(f"expected {what}, found {repr(val) if val else 'the end'}")
+        self.pos += 1
+        return val
+
+    def expr(self) -> dict[Monomial, Fraction]:
+        out: dict[Monomial, Fraction] = {}
+        sign = 1
+        while sign:
+            while self.accept("-"):
+                sign = -sign
+            c, m = self.term()
+            out[m] = out.get(m, 0) + sign * c
+            sign = 1 if self.accept("+") else -1 if self.accept("-") else 0
+        if self.pos < len(self.toks):
+            raise PolyError(f"unexpected {self.peek()[1]!r}")
+        return out
+
+    def term(self) -> tuple[Fraction, Monomial]:
+        expo = [0] * self.nvars
+        num, den = self.factor(expo), 1
+        while True:
+            if self.accept("/"):
+                den *= int(self.take("int", "an integer after '/'"))
+                if den == 0:
+                    raise PolyError("division by zero")
+            elif self.accept("*") or self.peek()[0] in ("int", "name"):
+                num *= self.factor(expo)
+            else:
+                return Fraction(num, den), tuple(expo)
+
+    def factor(self, expo: list[int]) -> int:
+        """Read one factor: return a number, or add a power to ``expo`` and
+        return 1."""
+        kind, val = self.peek()
+        if kind == "int":
+            self.pos += 1
+            return int(val)
+        name = self.take("name", "a number or a variable")
+        if name not in self.index:
+            raise PolyError(f"unknown variable {name!r}; declared: {tuple(self.index)}")
+        e = 1
+        if self.accept("^"):
+            e = -1 if self.accept("-") else 1
+            e *= int(self.take("int", "an integer exponent after '^'"))
+        if e < 0 and self.mode == "poly":
+            raise PolyError(f"negative exponent on {name!r} requires laurent mode")
+        expo[self.index[name]] += e
+        return 1
 
 
 def parse_polynomial(text: str, names: Iterable[str] | None = None,
@@ -372,125 +425,20 @@ def parse_polynomial(text: str, names: Iterable[str] | None = None,
     """Parse the grammar above into a Polynomial.
 
     When ``names`` is None the variables are inferred in order of first
-    appearance.  Unknown variables are an error when ``names`` is given.
+    appearance.  A name outside a given ``names``, or a name given twice,
+    is an error.  Without any variable the polynomial lives over ``("z",)``.
     """
-    toks = _tokenize(text)
-    if not toks:
-        raise PolyError("empty polynomial text")
+    # no rule reads a "bad" token, so a stray character ends in a PolyError
+    toks = [(m.lastgroup, m.group()) for m in _TOKEN.finditer(text)]
+    if names is None:
+        names = dict.fromkeys(val for kind, val in toks if kind == "name")
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise PolyError(f"variable names repeat: {names}")
     mode = "laurent" if laurent else "poly"
-    inferred: list[str] = []
-    fixed = None if names is None else tuple(names)
-
-    def var_index(nm: str) -> int:
-        if fixed is not None:
-            try:
-                return fixed.index(nm)
-            except ValueError:
-                raise PolyError(f"unknown variable {nm!r}; declared: {fixed}") from None
-        if nm not in inferred:
-            inferred.append(nm)
-        return inferred.index(nm)
-
-    # first pass when inferring: collect all names so exponent tuples have final width
-    if fixed is None:
-        for kind, val in toks:
-            if kind == "name":
-                var_index(val)
-    final_names = fixed if fixed is not None else tuple(inferred)
-    if not final_names:
-        final_names = ("z",)
-    nv = len(final_names)
-
-    terms: list[tuple[Fraction, list[int]]] = []
-    i = 0
-
-    def parse_factor(idx, coeff, expo, dividing):
-        kind, val = toks[idx]
-        if kind == "num":
-            num = int(val)
-            # a '/' directly after a number inside a term is a rational
-            if idx + 1 < len(toks) and toks[idx + 1] == ("op", "/") and \
-               idx + 2 < len(toks) and toks[idx + 2][0] == "num":
-                den = int(toks[idx + 2][1])
-                if den == 0:
-                    raise PolyError("zero denominator in rational")
-                value = Fraction(num, den)
-                idx += 3
-            else:
-                value = Fraction(num)
-                idx += 1
-            coeff = coeff / value if dividing else coeff * value
-            return idx, coeff, expo
-        if kind == "name":
-            if dividing:
-                raise PolyError("division by a variable is not part of the grammar")
-            j = var_index(val)
-            e = 1
-            idx += 1
-            if idx < len(toks) and toks[idx] == ("op", "^"):
-                idx += 1
-                sign = 1
-                if idx < len(toks) and toks[idx] == ("op", "-"):
-                    sign = -1
-                    idx += 1
-                if idx >= len(toks) or toks[idx][0] != "num":
-                    raise PolyError("expected integer exponent after '^'")
-                e = sign * int(toks[idx][1])
-                idx += 1
-            if e < 0 and mode == "poly":
-                raise PolyError(f"negative exponent on {val!r} requires laurent mode")
-            expo = list(expo)
-            expo[j] += e
-            return idx, coeff, expo
-        raise PolyError(f"unexpected token {val!r}")
-
-    sign = Fraction(1)
-    expect_term = True
-    coeff = Fraction(1)
-    expo = [0] * nv
-    started = False
-
-    def flush():
-        nonlocal coeff, expo, started, sign
-        if started:
-            terms.append((sign * coeff, expo))
-        coeff = Fraction(1)
-        expo = [0] * nv
-        started = False
-
-    while i < len(toks):
-        kind, val = toks[i]
-        if kind == "op" and val in "+-" and not expect_term:
-            flush()
-            sign = Fraction(1 if val == "+" else -1)
-            expect_term = True
-            i += 1
-            continue
-        if kind == "op" and val == "-" and expect_term:
-            sign = -sign
-            i += 1
-            continue
-        if kind == "op" and val in "*/":
-            if not started:
-                raise PolyError(f"term begins with {val!r}")
-            i2, coeff, expo = parse_factor(i + 1, coeff, expo, dividing=(val == "/"))
-            i = i2
-            continue
-        if kind in ("num", "name"):
-            i, coeff, expo = parse_factor(i, coeff, expo, dividing=False)
-            started = True
-            expect_term = False
-            continue
-        raise PolyError(f"unexpected token {val!r}")
-    if expect_term and not started:
-        raise PolyError("dangling sign with no term")
-    flush()
-
-    out: dict[Monomial, Fraction] = {}
-    for c, e in terms:
-        m = tuple(e)
-        out[m] = out.get(m, Fraction(0)) + c
-    return Polynomial(out, final_names, mode)
+    final = names or ("z",)
+    parser = _Parser(toks, {nm: i for i, nm in enumerate(names)}, len(final), mode)
+    return Polynomial(parser.expr(), final, mode)
 
 
 # -- quasi-homogeneous weights ----------------------------------------------

@@ -45,6 +45,22 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
         parse_config(["spectrum", "z^2/2", "--config", str(path)])
 
 
+@pytest.mark.parametrize("value, expected", [("yes", True), ("On", True),
+                                             ("off", False), ("0", False)])
+def test_config_file_reads_boolean_words(value, expected, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"laurent = {value}\n")
+    cfg = parse_config(["analyze", "z+z^-1", "--config", str(path)])
+    assert cfg.laurent is expected
+
+
+def test_config_file_rejects_other_boolean_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# settings\nlaurent = maybe\n")
+    with pytest.raises(UsageError, match=r"run\.cfg:2: .*'maybe'"):
+        parse_config(["analyze", "z+z^-1", "--config", str(path)])
+
+
 def test_vars_flag_parses_a_name_list():
     cfg = parse_config(["analyze", "x^3+y^3", "--vars", "x,y"])
     assert cfg.vars == ("x", "y")
@@ -85,6 +101,15 @@ def test_malformed_polynomial_is_a_usage_error(capsys):
     assert main(["analyze", "1/z"]) == 2
     out = capsys.readouterr()
     assert "error" in out.err.lower()
+
+
+@pytest.mark.parametrize("argv", [["analyze", "x/0"],
+                                  ["analyze", "x^3", "--vars", "x,x"],
+                                  ["analyze", "x*"]])
+def test_unreadable_polynomial_text_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 def test_exhausted_groebner_budget_is_a_compute_failure(monkeypatch, capsys):

@@ -98,9 +98,8 @@ class TestGroebner:
         names = ("x", "y")
         gens = [P("x^2 + y", names), P("y^2 + x", names)]
         member = gens[0] * P("x*y - 2", names) + gens[1] * P("y^3", names)
-        for order in ("grevlex", "grlex", "lex"):
-            gb = groebner_basis(gens, order)
-            assert gb.normal_form(member).is_zero()
+        gb = groebner_basis(gens)
+        assert gb.normal_form(member).is_zero()
 
 
 class TestMilnorRing:

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.parsing.sympy_parser import (convert_xor, implicit_multiplication,
+                                        parse_expr, standard_transformations)
 
 from lglab.poly import (
     Polynomial,
@@ -52,12 +55,45 @@ class TestParsing:
         assert g.coeffs == {(-1,): Fraction(1), (1,): Fraction(1)}
 
     def test_zero_denominator(self):
-        with pytest.raises(PolyError):
-            P("1/0", names=["x"])
+        for text in ("1/0", "x/0", "x^2/3/0", "0/0"):
+            with pytest.raises(PolyError):
+                P(text, names=["x"])
 
     def test_division_by_variable_rejected(self):
         with pytest.raises(PolyError):
             P("x/y", names=["x", "y"])
+
+    def test_division_runs_left_to_right(self):
+        assert P("x/2/3").coeffs == {(1,): Fraction(1, 6)}
+        assert P("z^2/2/3").coeffs == {(2,): Fraction(1, 6)}
+        assert P("2/3/4/5").coeffs == {(0,): Fraction(1, 30)}
+        assert P("1/2x").coeffs == {(1,): Fraction(1, 2)}
+        assert P("x/2*3").coeffs == {(1,): Fraction(3, 2)}
+
+    def test_repeated_declared_name_rejected(self):
+        with pytest.raises(PolyError):
+            P("x^3", names=["x", "x"])
+
+    @pytest.mark.parametrize("text", ["", "  ", "-", "x-", "+x", "x*", "x/",
+                                      "x^", "2^3", "x^2^3", "x*-1", "2/-3",
+                                      "x^--2", "x++y", "0.5", "x . y", "(x)"])
+    def test_text_outside_the_grammar_rejected(self, text):
+        with pytest.raises(PolyError):
+            P(text)
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("3x", {(1,): 3}),
+        ("x y", {(1, 1): 1}),
+        ("--x", {(1,): 1}),
+        ("x--y", {(1, 0): 1, (0, 1): 1}),
+        ("x+-y", {(1, 0): 1, (0, 1): -1}),
+        ("x^ 2", {(2,): 1}),
+    ])
+    def test_accepted_shorthands(self, text, coeffs):
+        assert P(text).coeffs == coeffs
+
+    def test_constant_text_lives_over_z(self):
+        assert P("5/2").names == P("5/2", names=[]).names == ("z",)
 
     def test_like_terms_collect(self):
         f = P("x + x - 2*x", names=["x"])
@@ -238,6 +274,59 @@ class TestCanonicalResults:
         p, q, r = ops
         assert p * (q + r) == p * q + p * r
         assert (p - q) * r == p * r - q * r
+
+
+# -- the text grammar against sympy's reading of the same text ---------------
+
+_TEXT_NAMES = ("x", "y", "w")
+_SYMPY_RULES = standard_transformations + (implicit_multiplication, convert_xor)
+
+
+@st.composite
+def _grammar_texts(draw, laurent):
+    """Text in the grammar of the poly module: '-' chains, chained '*' and
+    '/' by integers, '^' exponents and ``<int><name>`` adjacency."""
+    space = st.sampled_from(["", " "])
+
+    def factor():
+        num = str(draw(st.integers(0, 12)))
+        name = draw(st.sampled_from(_TEXT_NAMES))
+        if draw(st.booleans()):
+            name += f"^{draw(space)}{draw(st.integers(-3 if laurent else 0, 4))}"
+        return draw(st.sampled_from([num, name, num + name]))
+
+    def term():
+        text = factor()
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                text += f"{draw(space)}/{draw(space)}{draw(st.integers(1, 9))}"
+            else:
+                text += f"{draw(space)}*{draw(space)}{factor()}"
+        return text
+
+    def signs():
+        return "".join(draw(st.lists(st.sampled_from(["-", "- "]), max_size=2)))
+
+    text = signs() + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += f" {draw(st.sampled_from('+-'))} {signs()}{term()}"
+    return text
+
+
+def _to_sympy(f: Polynomial):
+    syms = sympy.symbols(f.names)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s ** e for s, e in zip(syms, m)))
+                for m, c in f.coeffs.items()), sympy.Integer(0))
+
+
+class TestGrammarAgainstSympy:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_parse_equals_sympy_reading(self, data, laurent):
+        text = data.draw(_grammar_texts(laurent), label="text")
+        expected = sympy.expand(parse_expr(text, transformations=_SYMPY_RULES))
+        assert sympy.expand(_to_sympy(P(text, laurent=laurent)) - expected) == 0
 
 
 # -- truncated arithmetic and the fast constructors ---------------------------
