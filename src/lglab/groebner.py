@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Monomial, Polynomial, PolyError, WeightSystem, hessian_det, infer_weights
-from .util import ComputeError
+from .util import ComputeError, PrecondError
 
 # -- the monomial order -------------------------------------------------------
 
@@ -344,7 +344,7 @@ def milnor_ring(f: Polynomial) -> MilnorRing:
         raise PolyError("milnor_ring requires polynomial mode")
     grads = f.gradient()
     if all(g.is_zero() for g in grads):
-        raise ValueError("zero gradient: f is constant")
+        raise PrecondError("f is constant: there is no critical locus")
     gb = groebner_basis(grads)
     weights = infer_weights(f)
     lms = gb.leading_monomials()

@@ -611,6 +611,34 @@ def _paired_subspace(K_fwd: np.ndarray, K_bwd: np.ndarray) -> np.ndarray:
     return _gemm(Q, V[:, w > PAIR_KEEP_THRESHOLD])
 
 
+def _point_reflection(fwd, bwd):
+    """(flip, sign) with ``bwd`` = Π·S·``fwd``·S·Π to rounding, or None.
+
+    ``fwd`` and ``bwd`` are sparse degree-1 Laplacians on the (dz, dz̄)
+    sector.  Π is the point reflection z → −z, which on a component
+    flattened row-major reverses its index order, and S = diag(sign) is
+    the identity or −1 on the dz block; ``flip`` is Π as an index array.
+    The mirror of ``fwd`` is formed once; the two candidates for S differ
+    only in the sign of its entries that couple dz to dz̄."""
+    n = fwd.shape[0] // 2
+    flip = np.concatenate([np.arange(n - 1, -1, -1),
+                           np.arange(2 * n - 1, n - 1, -1)])
+    rows = np.repeat(np.arange(2 * n), np.diff(fwd.indptr))
+    mirror = sp.csr_matrix((fwd.data, (flip[rows], flip[fwd.indices])),
+                           shape=fwd.shape)
+    rows = np.repeat(np.arange(2 * n), np.diff(mirror.indptr))
+    cross = (rows < n) != (mirror.indices < n)
+    tol = 1e-12 * np.max(np.abs(bwd.data))
+    for sign in (1.0, -1.0):
+        mirror.data[cross] *= sign  # the second pass tries S = −1 on dz
+        if np.max(np.abs((bwd - mirror).data), initial=0.0) <= tol:
+            return flip, np.concatenate([sign * np.ones(n), np.ones(n)])
+    return None
+
+
+_DERHAM_FLAVORS = ("dbar_f", "dbar_f_half", "d_f")
+
+
 def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
                    k: int = 8, seed: int = 7,
                    gap_threshold: float = DEFAULT_GAP_THRESHOLD) -> dict:
@@ -628,24 +656,46 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     orientations and averaged: the leading truncation error changes sign
     with the orientation and cancels, and near-kernel artifacts glued to
     a boundary corner by one orientation do not pair with the other, so
-    the averaged projector separates them cleanly."""
+    the averaged projector separates them cleanly.
+
+    The two orientations are mirror images: with P the reversal of one
+    axis, D_fd1b = −P·D_fd1·P exactly, so the fd1b Laplacian of f is the
+    point reflection Π (z → −z) of the fd1 Laplacian of f(−z).  For an
+    even f, and for an odd f in the two Dolbeault flavors, that is
+    Π·S·L_fd1·S·Π with S = ±1 on the dz block, and the fd1b kernel is
+    the reflected fd1 kernel.  Each flavor's two assembled Laplacians
+    are compared; where they agree to rounding the fd1b eigensolve is
+    skipped, and ``reflected_flavors`` names those flavors."""
     symmetrize = backend == "fd1"
-    describes = {}
-    orientations = ("fd1", "fd1b") if symmetrize else (backend,)
-    per_orientation = {name: [] for name in ("dbar_f", "dbar_f_half", "d_f")}
-    for orient in orientations:
-        ops = Operators(grid, f, orient)
-        for flavor in ("dbar_f", "dbar_f_half", "d_f"):
-            res = eigensolve_lowest(f, grid, degree=1, k=k, backend=orient,
+    ops = Operators(grid, f, backend)
+    describes, bases = {}, {}
+    for flavor in _DERHAM_FLAVORS:
+        res = eigensolve_lowest(f, grid, degree=1, k=k, backend=backend,
+                                seed=seed, gap_threshold=gap_threshold,
+                                flavor=flavor, operators=ops)
+        describes[flavor] = res.describe()
+        bases[flavor] = [_kernel_basis(res)]
+    phase = np.exp(-1j * ops.f_values.imag).ravel()
+    reflected = []
+    if symmetrize:
+        mirror_ops = Operators(grid, f, "fd1b")
+        mirrors = {flavor: _point_reflection(
+            ops.laplacian_matrix(flavor, 1),
+            mirror_ops.laplacian_matrix(flavor, 1))
+            for flavor in _DERHAM_FLAVORS}
+        del ops  # its matrices are not needed during the fd1b solves
+        for flavor in _DERHAM_FLAVORS:
+            if mirrors[flavor] is not None:
+                flip, sign = mirrors[flavor]
+                bases[flavor].append(sign[:, None] * bases[flavor][0][flip])
+                reflected.append(flavor)
+                continue
+            res = eigensolve_lowest(f, grid, degree=1, k=k, backend="fd1b",
                                     seed=seed, gap_threshold=gap_threshold,
-                                    flavor=flavor, operators=ops)
-            per_orientation[flavor].append(_kernel_basis(res))
-            if orient == orientations[0]:
-                describes[flavor] = res.describe()
-        if orient == orientations[0]:
-            phase = np.exp(-1j * ops.f_values.imag).ravel()
-    K_dol, K_mid, K_dr = (_paired_subspace(*bases) if symmetrize
-                          else bases[0] for bases in per_orientation.values())
+                                    flavor=flavor, operators=mirror_ops)
+            bases[flavor].append(_kernel_basis(res))
+    K_dol, K_mid, K_dr = (_paired_subspace(*pair) if symmetrize else pair[0]
+                          for pair in bases.values())
 
     n = grid.points ** 2
     halve_dz = np.concatenate([0.5 * np.ones(n), np.ones(n)])
@@ -664,6 +714,7 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
         "derham_dim": int(K_dr.shape[1]),
         "dims_agree": K_dol.shape[1] == K_dr.shape[1],
         "max_angle_degrees": max_angle,
+        "reflected_flavors": reflected,
     }
 
 

@@ -16,6 +16,12 @@ Derivative backends:
     truncation error has the opposite sign, so kernel subspaces averaged
     over the "fd1"/"fd1b" pair cancel the first-order error and shed
     boundary-attached artifacts, which do not pair across orientations.
+    The mirror is exact: with P the reversal of one axis,
+    D_fd1b = −P·D_fd1·P, so every "fd1b" operator of f is the point
+    reflection z → −z of the "fd1" one of f(−z).  For an even f, and for
+    an odd f in the flavors without a dz derivative, that makes the
+    "fd1b" Laplacian a signed reflection of the "fd1" one with the same
+    spectrum (``analysis.derham_compare`` uses this).
   * "spectral": trigonometric collocation on the periodic extension of
     the grid (odd point count), a real antisymmetric matrix with every
     off-diagonal entry set.  Appropriate only for data that decays well

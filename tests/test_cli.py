@@ -112,6 +112,16 @@ def test_unreadable_polynomial_text_exits_2(argv, capsys):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["analyze", "5"], ["analyze", "x-x"],
+                                  ["analyze", "x^0"], ["pairing", "5"],
+                                  ["frobenius", "5"]])
+def test_constant_polynomial_exits_3(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition unmet:") and "constant" in err
+    assert "Traceback" not in err
+
+
 def test_exhausted_groebner_budget_is_a_compute_failure(monkeypatch, capsys):
     monkeypatch.setattr(groebner, "MAX_S_PAIRS", 5)
     assert main(["analyze", "x^3+y^3+w^3+v^2+x*y*w*v"]) == 1

@@ -4,6 +4,7 @@ import csv
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglab.poly import parse_polynomial
+from lglab.poly import Polynomial, parse_polynomial
 from lglab.spectral import (
     DiscreteForm,
     Grid,
@@ -35,7 +36,8 @@ from lglab.spectral import (
     write_eigenvalues_csv,
     write_harmonic_profile_csv,
 )
-from lglab.spectral.analysis import _factor
+from lglab.spectral import analysis
+from lglab.spectral.analysis import _DERHAM_FLAVORS, _factor, _point_reflection
 from lglab.spectral.forms import (
     conjugate,
     gaussian_form,
@@ -730,6 +732,75 @@ def test_kernel_dimensions_and_alignment_match_the_full_twist():
     report = derham_compare(F2, build_grid(4.0, 65), backend="fd1")
     assert report["dims_agree"]
     assert report["dolbeault_dim"] == 1
+    assert report["max_angle_degrees"] <= 2.0
+
+
+def _potential(coeffs):
+    """Σ c·zᵏ for a {k: c} dict whose c may be complex: the grid harness
+    samples every coefficient through complex(), so the dict is wrapped
+    as it stands."""
+    return Polynomial._trusted({(k,): c for k, c in coeffs.items()}, ("z",),
+                               "poly")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), parity=st.sampled_from(["even", "odd", "mixed"]),
+       complex_coeffs=st.booleans(),
+       m=st.sampled_from([17, 19, 21, 23, 25, 27, 29, 31, 33]),
+       half_width=st.sampled_from([3.0, 4.0, 4.5, 5.0]))
+def test_fd1b_laplacian_is_the_point_reflection_where_parity_allows(
+        data, parity, complex_coeffs, m, half_width):
+    part = st.integers(-4, 4).filter(bool)
+    coeff = (st.builds(complex, part, part) if complex_coeffs
+             else st.builds(Fraction, part, st.integers(1, 6)))
+    evens = data.draw(st.lists(st.sampled_from([2, 4, 6]), min_size=1,
+                               unique=True))
+    odds = data.draw(st.lists(st.sampled_from([1, 3, 5]), min_size=1,
+                              unique=True))
+    exponents = {"even": evens, "odd": odds, "mixed": evens + odds}[parity]
+    f = _potential({k: data.draw(coeff) for k in exponents})
+    grid = build_grid(half_width, m)
+    fwd, bwd = Operators(grid, f, "fd1"), Operators(grid, f, "fd1b")
+    for flavor in _DERHAM_FLAVORS:
+        M_fwd = fwd.laplacian_matrix(flavor, 1)
+        M_bwd = bwd.laplacian_matrix(flavor, 1)
+        found = _point_reflection(M_fwd, M_bwd)
+        holds = parity == "even" or (parity == "odd" and flavor != "d_f")
+        if not holds:
+            assert found is None, (str(f), flavor)
+            continue
+        assert found is not None, (str(f), flavor)
+        flip, sign = found
+        S = sp.diags(sign)
+        mirrored = S @ M_fwd[flip][:, flip] @ S
+        assert abs(M_bwd - mirrored).max() <= 1e-12 * abs(M_bwd).max()
+
+
+# z³/3 on (4, 33) resolves no d_f kernel, so its angle is taken on (3, 41)
+@pytest.mark.parametrize("f, grid, reflected", [
+    (F2, (4.0, 33), ["dbar_f", "dbar_f_half", "d_f"]),
+    (F3, (3.0, 41), ["dbar_f", "dbar_f_half"]),
+])
+def test_reflected_fd1b_kernels_give_the_solved_report(f, grid, reflected,
+                                                      monkeypatch):
+    grid = build_grid(*grid)
+    fast = derham_compare(f, grid, backend="fd1")
+    monkeypatch.setattr(analysis, "_point_reflection", lambda *mats: None)
+    solved = derham_compare(f, grid, backend="fd1")
+    assert fast["reflected_flavors"] == reflected
+    assert solved["reflected_flavors"] == []
+    for key in ("dolbeault_dim", "derham_dim", "dims_agree",
+                "dolbeault", "mid", "derham"):
+        assert fast[key] == solved[key], key
+    assert abs(fast["max_angle_degrees"]
+               - solved["max_angle_degrees"]) <= 1e-9
+
+
+def test_a_potential_of_neither_parity_solves_both_orientations():
+    report = derham_compare(Pz("z^3/3+z^2/2"), build_grid(4.0, 65),
+                            backend="fd1")
+    assert report["reflected_flavors"] == []
+    assert report["dolbeault_dim"] == report["derham_dim"] == 2
     assert report["max_angle_degrees"] <= 2.0
 
 
