@@ -326,7 +326,6 @@ class BrieskornLattice:
         self._units = [tuple(Fraction(1) if i == p else Fraction(0)
                              for i in range(self.mu)) for p in range(self.mu)]
         self._pair_table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        self._basis_residues: list[Fraction] | None = None
 
     # -- reduction --------------------------------------------------------
 
@@ -367,10 +366,7 @@ class BrieskornLattice:
             nf, quot = self.ring.reduce_with_quotients(gk)
             # each u-power is reduced once, so out[k] is set here only
             if not nf.is_zero():
-                vec = [Fraction(0)] * self.mu
-                for m, c in nf.coeffs.items():
-                    vec[self.ring._index[m]] = c
-                out[k] = tuple(vec)
+                out[k] = tuple(self.ring.vector(nf))
             if certify:
                 eta_k = PVField({(i,): quot[i] for i in range(len(names))}, names)
                 if not eta_k.is_zero():
@@ -421,35 +417,33 @@ class BrieskornLattice:
     # -- residue pairing ---------------------------------------------------
 
     def _basis_product_residues(self, p: int, q: int) -> dict[int, Fraction]:
-        """Residue u-series of the reduced product of basis monomials p, q."""
+        """Residue u-series of the reduced product of basis monomials p, q.
+
+        The residue kills every basis monomial but the socle, whose residue
+        is mu / h (h the socle coefficient of the Hessian), so each u-power
+        contributes its socle coordinate times mu / h."""
+        if self.ring.socle is None:
+            raise PrecondError("residue pairing needs a one-dimensional socle")
         key = (min(p, q), max(p, q))
         if key not in self._pair_table:
             names = self.f.names
             prod = Polynomial.monomial(self.ring.basis[key[0]], 1, names) * \
                 Polynomial.monomial(self.ring.basis[key[1]], 1, names)
             red = self.reduce(prod, self.order + 2)
-            if self._basis_residues is None:
-                self._basis_residues = [
-                    self.ring.residue(Polynomial.monomial(m, 1, names))
-                    for m in self.ring.basis]
-            table = {}
-            for k, vec in red.coords.items():
-                val = Fraction(0)
-                for c, r in zip(vec, self._basis_residues):
-                    if c != 0:
-                        val += c * r
-                if val != 0:
-                    table[k] = val
-            self._pair_table[key] = table
+            sigma = self.ring.basis.index(self.ring.socle)
+            scale = Fraction(self.mu) / self.ring.hessian_socle_coeff
+            self._pair_table[key] = {k: vec[sigma] * scale
+                                     for k, vec in red.coords.items() if vec[sigma]}
         return self._pair_table[key]
 
-    def pairing(self, a, b, order: int | None = None) -> PairingSeries:
-        """u-series residue pairing; the second argument enters through its
-        series at -u.  Polynomial inputs are reduced first: the pairing is
-        defined on lattice classes, not raw representatives."""
+    def pairing(self, a, b) -> PairingSeries:
+        """u-series residue pairing to the lattice order; the second
+        argument enters through its series at -u.  Polynomial inputs are
+        reduced first: the pairing is defined on lattice classes, not raw
+        representatives."""
         if self.ring.socle is None:
             raise PrecondError("pairing needs a one-dimensional socle")
-        N = self.order if order is None else order
+        N = self.order
         ea = a if isinstance(a, LatticeElement) else self.reduce(a, N)
         eb = b if isinstance(b, LatticeElement) else self.reduce(b, N)
         out: dict[int, Fraction] = {}
@@ -468,11 +462,10 @@ class BrieskornLattice:
                                     twist * ca * cb * r
         return PairingSeries(out, N)
 
-    def pairing_matrix(self, order: int | None = None) -> list[list[PairingSeries]]:
+    def pairing_matrix(self) -> list[list[PairingSeries]]:
         """Pairings of the basis classes: the residue series of their
-        reduced products."""
-        N = self.order if order is None else order
-        return [[PairingSeries(self._basis_product_residues(p, q), N)
+        reduced products, to the lattice order."""
+        return [[PairingSeries(self._basis_product_residues(p, q), self.order)
                  for q in range(self.mu)] for p in range(self.mu)]
 
     def residue_matrix(self) -> list[list[Fraction]]:

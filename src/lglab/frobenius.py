@@ -2,10 +2,12 @@
 
 Pipeline: unfold f over its Milnor basis and reduce each product
 phi_a phi_b modulo the family gradient ideal once, order by order in the
-deformation parameters.  The normal forms give the structure constants
-c_ab^e(t); their socle row gives the residue metric,
-eta_ab(t) = mu c_ab^sigma(t) / h(t), where phi_sigma is the socle and h
-the socle coefficient of the family Hessian's normal form.  Flatten the
+deformation parameters.  A reduced class is its coordinate vector on the
+Milnor basis, here mu truncated t-series, and only ``MilnorRing.vector``
+turns a normal form into coordinates.  The coordinates of phi_a phi_b
+are the structure constants c_ab^e(t); their socle row gives the residue
+metric, eta_ab(t) = mu c_ab^sigma(t) / h(t), where phi_sigma is the
+socle and h the socle coordinate of the family Hessian.  Flatten the
 metric by an order-by-order polynomial coordinate change, lower and pull
 back the structure constants, and integrate them to the potential in
 closed form by Euler's identity,
@@ -16,9 +18,11 @@ inverts before it is used.  Associativity of the family product then
 appears as the vanishing of the WDVV residual.
 
 Everything is exact rational arithmetic on truncated multivariate
-series; no floating point enters.  Products and substitutions go through
-``Polynomial.mul_trunc`` and ``Polynomial.subs_trunc``, which never form
-the terms above the truncation order.
+series; no floating point enters.  Products and substitutions in t go
+through ``Polynomial.mul_trunc`` and ``Polynomial.subs_trunc``, which
+never form the terms above the truncation order.  The one exception is
+the family Hessian, a polynomial over z and t of t-degree at most the
+number of variables, formed in full and truncated by the reduction.
 
 The primitive form is taken to be the volume form dx at every t.  That
 holds when every parameter has positive weight 1 - deg phi_a, as for the
@@ -29,8 +33,8 @@ flattening is obstructed and the unfolding has a marginal parameter,
 ``build_flat_potential`` raises ``PrecondError`` (``lg`` exit 3) naming
 its monomial, rather than ``ComputeError``.
 
-The family residue functional extracts the socle coefficient of the
-family normal form, normalized so the family Hessian determinant has
+The family residue functional reads the socle coordinate of the family
+normal form, normalized so the family Hessian determinant has
 residue equal to the Milnor number.  That identification relies on the
 grading induced by quasi-homogeneity (parameter t_a carries weight
 1 - weight(phi_a) > 0, and every sub-socle basis direction has negative
@@ -78,64 +82,6 @@ def series_inverse(p: Polynomial, nt: int) -> Polynomial:
     return truncate(inv * (Fraction(1) / c0), nt)
 
 
-class TPoly:
-    """Polynomial in the deformation parameters with z-polynomial
-    coefficients, truncated in total t-degree."""
-
-    __slots__ = ("terms", "nt", "tnames", "znames")
-
-    def __init__(self, terms: dict[Monomial, Polynomial], nt: int,
-                 tnames: tuple[str, ...], znames: tuple[str, ...]):
-        self.terms = {tuple(m): p for m, p in terms.items()
-                      if sum(m) <= nt and not p.is_zero()}
-        self.nt = nt
-        self.tnames = tnames
-        self.znames = znames
-
-    @classmethod
-    def from_z(cls, p: Polynomial, nt: int, tnames) -> "TPoly":
-        zero_t = tuple(0 for _ in tnames)
-        return cls({zero_t: p}, nt, tnames, p.names)
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.terms)
-        for m, p in other.terms.items():
-            out[m] = out[m] + p if m in out else p
-        return TPoly(out, min(self.nt, other.nt), self.tnames, self.znames)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        neg = TPoly({m: p * Fraction(-1) for m, p in other.terms.items()},
-                    other.nt, other.tnames, other.znames)
-        return self + neg
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        out: dict[Monomial, Polynomial] = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if sum(m) > min(self.nt, other.nt):
-                    continue
-                prod = p1 * p2
-                out[m] = out[m] + prod if m in out else prod
-        return TPoly(out, min(self.nt, other.nt), self.tnames, self.znames)
-
-    def zdiff(self, i: int) -> "TPoly":
-        return TPoly({m: p.diff(i) for m, p in self.terms.items()},
-                     self.nt, self.tnames, self.znames)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def socle_series(self, socle: Monomial) -> Polynomial:
-        """Coefficient of a fixed z-monomial, as a t-polynomial."""
-        out = {}
-        for m, p in self.terms.items():
-            c = p.coeffs.get(socle, Fraction(0))
-            if c != 0:
-                out[m] = c
-        return Polynomial(out, self.tnames)
-
-
 # -- the unfolding ----------------------------------------------------------------
 
 
@@ -150,14 +96,6 @@ class Unfolding:
     def mu(self) -> int:
         return len(self.phis)
 
-    def family(self, nt: int) -> TPoly:
-        """F = f + sum_a t_a phi_a."""
-        terms = {tuple(0 for _ in self.tnames): self.f}
-        for a, phi in enumerate(self.phis):
-            tm = tuple(1 if i == a else 0 for i in range(len(self.tnames)))
-            terms[tm] = Polynomial.monomial(phi, 1, self.f.names)
-        return TPoly(terms, nt, self.tnames, self.f.names)
-
 
 def universal_unfolding(f: Polynomial) -> Unfolding:
     ring = milnor_ring(f)
@@ -167,94 +105,101 @@ def universal_unfolding(f: Polynomial) -> Unfolding:
     return Unfolding(f, ring, tnames, list(ring.basis))
 
 
-def family_normal_form(U: Unfolding, g, nt: int) -> TPoly:
-    """Normal form of g modulo the family gradient ideal, truncated in t.
+def family_normal_form(U: Unfolding, g: Polynomial, nt: int) -> list[Polynomial]:
+    """Coordinates of g modulo the family gradient ideal on the Milnor
+    basis: mu t-polynomials, truncated at t-order nt.
 
-    Division by the base gradient ideal leaves quotients a_i; rewriting
-    a_i * d_i f = a_i * d_i F - sum_a t_a a_i * d_i phi_a pushes the
-    correction to strictly higher t-order, so the loop terminates.
-    Output coefficients are supported on base Milnor basis monomials.
+    g is a polynomial over U.f.names + U.tnames, or over U.f.names alone
+    (t-degree 0).  Division by the base gradient ideal leaves quotients
+    a_i; rewriting a_i * d_i f = a_i * d_i F - sum_a t_a a_i * d_i phi_a
+    pushes the correction to strictly higher t-order, so the loop
+    terminates.
     """
     znames = U.f.names
-    if isinstance(g, Polynomial):
-        g = TPoly.from_z(g, nt, U.tnames)
-    dphi = [[Polynomial.monomial(phi, 1, znames).diff(i)
-             for i in range(len(znames))] for phi in U.phis]
-    work: dict[Monomial, Polynomial] = dict(g.terms)
-    out: dict[Monomial, Polynomial] = {}
+    n = len(znames)
+    if g.names not in (znames, znames + U.tnames):
+        raise ValueError(f"family normal form needs a polynomial over "
+                         f"{znames} or {znames + U.tnames}, not {g.names}")
+    layers: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for m, c in g.coeffs.items():
+        tm = m[n:] or (0,) * U.mu
+        if sum(tm) <= nt:
+            layers.setdefault(tm, {})[m[:n]] = c
+    work = {tm: Polynomial._trusted(zc, znames, "poly") for tm, zc in layers.items()}
+    dphi = [[Polynomial.monomial(phi, 1, znames).diff(i) for i in range(n)]
+            for phi in U.phis]
+    out: list[dict[Monomial, Fraction]] = [{} for _ in range(U.mu)]
     for deg in range(nt + 1):
-        layer = [m for m in work if sum(m) == deg]
-        for tm in sorted(layer):
+        for tm in sorted(m for m in work if sum(m) == deg):
             p = work.pop(tm)
             if p.is_zero():
                 continue
             nf, quot = (U.ring.reduce_with_quotients(p) if deg < nt
                         else (U.ring.normal_form(p), None))
-            if not nf.is_zero():
-                out[tm] = out[tm] + nf if tm in out else nf
+            # each t-monomial is reduced once, so out[e][tm] is set here only
+            for e, c in enumerate(U.ring.vector(nf)):
+                if c:
+                    out[e][tm] = c
             if quot is None:
                 continue  # every correction would land at t-order nt + 1
             for a in range(U.mu):
                 corr = Polynomial.zero(znames)
-                for i in range(len(znames)):
+                for i in range(n):
                     if not quot[i].is_zero() and not dphi[a][i].is_zero():
                         corr = corr + quot[i] * dphi[a][i]
                 if corr.is_zero():
                     continue
                 tm2 = tuple(e + (1 if j == a else 0) for j, e in enumerate(tm))
                 work[tm2] = work.get(tm2, Polynomial.zero(znames)) - corr
-    return TPoly(out, nt, U.tnames, znames)
+    return [Polynomial._trusted(c, U.tnames, "poly") for c in out]
 
 
-def _normalizer_inverse(U: Unfolding, nt: int) -> Polynomial:
-    """Inverse of the socle series of the family Hessian determinant."""
+def _socle_index(U: Unfolding) -> int:
+    """Position of the socle in the Milnor basis, once the preconditions
+    of the family residue hold."""
     if U.ring.weights is None:
         raise PrecondError("family residues require a quasi-homogeneous base")
     if U.ring.socle is None:
         raise PrecondError("family residues require a one-dimensional socle")
-    hess = _family_hessian(U, nt)
-    hess_nf = family_normal_form(U, hess, nt)
-    c = hess_nf.socle_series(U.ring.socle)
-    return series_inverse(c, nt)
+    return U.phis.index(U.ring.socle)
 
 
-def family_residue(U: Unfolding, g, nt: int,
+def _normalizer_inverse(U: Unfolding, nt: int) -> Polynomial:
+    """Inverse of the socle coordinate of the family Hessian determinant."""
+    sigma = _socle_index(U)
+    return series_inverse(family_normal_form(U, _family_hessian(U), nt)[sigma], nt)
+
+
+def family_residue(U: Unfolding, g: Polynomial, nt: int,
                    _cinv: Polynomial | None = None) -> Polynomial:
     """Family residue functional as a t-polynomial, normalized so the
-    family Hessian determinant has residue mu."""
+    family Hessian determinant has residue mu: the socle coordinate of
+    the family normal form of g, times mu / h(t)."""
     if _cinv is None:
         _cinv = _normalizer_inverse(U, nt)
-    nf = family_normal_form(U, g, nt)
-    numer = nf.socle_series(U.ring.socle)
+    numer = family_normal_form(U, g, nt)[_socle_index(U)]
     return numer.mul_trunc(_cinv, nt) * Fraction(U.ring.mu)
 
 
-def _family_hessian(U: Unfolding, nt: int) -> TPoly:
-    F = U.family(nt)
-    n = len(U.f.names)
-    return cofactor_det([[F.zdiff(i).zdiff(j) for j in range(n)]
-                         for i in range(n)])
+def _family_hessian(U: Unfolding) -> Polynomial:
+    """det(d_i d_j F) for F = f + sum_a t_a phi_a, over z and t."""
+    n, zero_t = len(U.f.names), (0,) * U.mu
+    F = {m + zero_t: c for m, c in U.f.coeffs.items()}
+    for a, phi in enumerate(U.phis):
+        F[phi + zero_t[:a] + (1,) + zero_t[a + 1:]] = Fraction(1)
+    F = Polynomial(F, U.f.names + U.tnames)
+    return cofactor_det([[F.diff(i).diff(j) for j in range(n)] for i in range(n)])
 
 
 def family_multiplication(U: Unfolding, nt: int) -> list[list[list[Polynomial]]]:
     """Structure constants c[a][b][e](t): phi_a * phi_b = sum_e c * phi_e
     modulo the family gradient ideal."""
-    znames = U.f.names
-    mu = U.mu
-    index = {m: e for e, m in enumerate(U.phis)}
-    c = [[None] * mu for _ in range(mu)]
-    for a in range(mu):
-        for b in range(a, mu):
+    c = [[None] * U.mu for _ in range(U.mu)]
+    for a in range(U.mu):
+        for b in range(a, U.mu):
             prod = Polynomial.monomial(
-                tuple(x + y for x, y in zip(U.phis[a], U.phis[b])), 1, znames)
-            coeffs = [{} for _ in range(mu)]
-            for tm, p in family_normal_form(U, prod, nt).terms.items():
-                for zm, val in p.coeffs.items():
-                    if zm not in index:
-                        raise ComputeError(
-                            "family normal form leaves the basis span")
-                    coeffs[index[zm]][tm] = val
-            c[a][b] = c[b][a] = [Polynomial(ce, U.tnames) for ce in coeffs]
+                tuple(x + y for x, y in zip(U.phis[a], U.phis[b])), 1, U.f.names)
+            c[a][b] = c[b][a] = family_normal_form(U, prod, nt)
     return c
 
 
@@ -270,7 +215,7 @@ def _metric_and_structure(U: Unfolding, nt: int):
     first, so its preconditions are checked before any product is reduced."""
     scale = _normalizer_inverse(U, nt) * Fraction(U.ring.mu)
     c = family_multiplication(U, nt)
-    sigma = U.phis.index(U.ring.socle)
+    sigma = _socle_index(U)
     eta = [[None] * U.mu for _ in range(U.mu)]
     for a in range(U.mu):
         for b in range(a, U.mu):

@@ -265,17 +265,22 @@ class MilnorRing:
 
     # vector-space coordinates ------------------------------------------------
 
-    def coords(self, g: Polynomial) -> list[Fraction]:
-        """Coordinates of [g] in the monomial basis (reduces first)."""
+    def vector(self, nf: Polynomial) -> list[Fraction]:
+        """Coordinates of a normal form on the monomial basis: the one map
+        from normal forms to coordinate vectors."""
         if self.basis is None:
             raise ValueError("quotient is infinite-dimensional")
-        r = self.gb.normal_form(g)
         vec = [Fraction(0)] * len(self.basis)
-        for m, c in r.coeffs.items():
-            if m not in self._index:
-                raise AssertionError(f"normal form contains non-basis monomial {m}")
-            vec[self._index[m]] = c
+        for m, c in nf.coeffs.items():
+            k = self._index.get(m)
+            if k is None:
+                raise ComputeError(f"normal form leaves the basis span at {m}")
+            vec[k] = c
         return vec
+
+    def coords(self, g: Polynomial) -> list[Fraction]:
+        """Coordinates of [g] in the monomial basis (reduces first)."""
+        return self.vector(self.normal_form(g))
 
     def normal_form(self, g: Polynomial) -> Polynomial:
         return self.gb.normal_form(g)
@@ -305,9 +310,9 @@ class MilnorRing:
         basis monomial except the socle, so it reads off the socle
         coefficient of the normal form.
         """
-        if self.socle is None or self.hessian_socle_coeff in (None, 0):
-            raise ValueError("residue needs a one-dimensional socle "
-                             "(finite mu and graded top degree)")
+        if self.socle is None:
+            raise PrecondError("residue needs a one-dimensional socle "
+                               "(finite mu and graded top degree)")
         r = self.gb.normal_form(g)
         c = r.coeffs.get(self.socle, Fraction(0))
         return c * Fraction(self.mu) / self.hessian_socle_coeff

@@ -214,7 +214,14 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
     cluster, the top returned pair may be any member of that cluster:
     which one depends on rounding (e.g. of the factorization), so the
     last reported eigenvalue can move within the cluster between
-    versions while everything below it stays put."""
+    versions while everything below it stays put.
+
+    A constant f has no critical points to confine a kernel, so it fails
+    the precondition before anything is assembled; f=None is the untwisted
+    Laplacian, solved and flagged unreliable."""
+    if f is not None and all(g.is_zero() for g in f.gradient()):
+        raise PrecondError("f is constant: the twist vanishes and nothing "
+                           "confines the kernel")
     ops = operators if operators is not None else Operators(grid, f, backend)
     M = ops.laplacian_matrix(flavor, degree)
     vals, vecs, res, wanted = _lowest_pairs(M, k, seed)

@@ -1,6 +1,7 @@
 """Command-line surface: config layering, subcommands, exit codes, reports."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -114,9 +115,12 @@ def test_unreadable_polynomial_text_exits_2(argv, capsys):
 
 @pytest.mark.parametrize("argv", [["analyze", "5"], ["analyze", "x-x"],
                                   ["analyze", "x^0"], ["pairing", "5"],
-                                  ["frobenius", "5"]])
+                                  ["frobenius", "5"], ["spectrum", "5"]])
 def test_constant_polynomial_exits_3(argv, capsys):
+    # refused before any Groebner basis or eigensolve is started
+    start = time.perf_counter()
     assert main(argv) == 3
+    assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert err.startswith("precondition unmet:") and "constant" in err
     assert "Traceback" not in err
@@ -131,6 +135,13 @@ def test_exhausted_groebner_budget_is_a_compute_failure(monkeypatch, capsys):
 def test_laurent_spectrum_fails_the_precondition(capsys):
     assert main(["spectrum", "z+z^-1", "--laurent"]) == 3
     capsys.readouterr()
+
+
+def test_socle_less_pairing_fails_the_precondition(capsys):
+    # mu = 8 with two basis monomials in the top degree: no residue pairing
+    assert main(["pairing", "x^3+y^4+x^2*y^2"]) == 3
+    err = capsys.readouterr().err
+    assert "one-dimensional socle" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("points", ["16", "34", "15"])
@@ -239,6 +250,8 @@ GOLDEN = Path(__file__).parent / "golden"
     (["frobenius", "x^3+y^3+w^3", "--t-order", "2"],
      "frobenius_e6tilde_t2.json"),
     (["pairing", "x^4+y^4+w^4"], "pairing_x4y4w4.json"),
+    (["frobenius", "x^2*y+y^4", "--t-order", "4"], "frobenius_d5_t4.json"),
+    (["frobenius", "z^5/5", "--t-order", "5"], "frobenius_a4_t5.json"),
 ])
 def test_report_matches_the_golden_file(argv, name, tmp_path, capsys):
     out = tmp_path / name

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lglab import frobenius
 from lglab.frobenius import (
     FrobeniusData,
-    TPoly,
     _pull_back,
     _integrate_symmetric_gradient,
     _integrate_third_derivatives,
@@ -62,32 +61,41 @@ def test_series_inverse_needs_a_unit():
 # -- family normal forms ------------------------------------------------------------
 
 
+def tpolys(U, *texts):
+    return [parse_polynomial(t, U.tnames) for t in texts]
+
+
 def test_one_variable_cubic_square_rewrites_to_parameter():
     U = unfold("z^3/3")
-    nf = family_normal_form(U, parse_polynomial("z^2"), 4)
-    # z^2 = d(F)/dz - t1, so the normal form is -t1 * 1
-    assert set(nf.terms) == {(0, 1)}
-    assert nf.terms[(0, 1)] == Polynomial.constant(-1, ("z",))
+    # z^2 = d(F)/dz - t1, so the coordinates are (-t1, 0) on (1, z)
+    assert family_normal_form(U, parse_polynomial("z^2"), 4) == tpolys(U, "-t1", "0")
 
 
 def test_one_variable_quartic_socle_power():
     U = unfold("z^4/4")
-    nf = family_normal_form(U, parse_polynomial("z^4"), 4)
-    # z^4 reduces to -t1*z - 2*t2*z^2
-    assert nf.terms[(0, 1, 0)] == parse_polynomial("-z", ("z",))
-    assert nf.terms[(0, 0, 1)] == parse_polynomial("-2*z^2", ("z",))
-    assert set(nf.terms) == {(0, 1, 0), (0, 0, 1)}
+    # z^4 reduces to -t1*z - 2*t2*z^2: coordinates (0, -t1, -2*t2) on (1, z, z^2)
+    assert (family_normal_form(U, parse_polynomial("z^4"), 4) ==
+            tpolys(U, "0", "-t1", "-2*t2"))
 
 
 def test_normal_form_kills_family_ideal_elements():
-    # b * dF/dz must have normal form zero for several b
+    # b * dF/dz must have coordinates zero for several b
     U = unfold("z^3/3")
-    znames = ("z",)
-    dF = TPoly({(0, 0): parse_polynomial("z^2", znames),
-                (0, 1): Polynomial.constant(1, znames)}, 6, U.tnames, znames)
+    names = U.f.names + U.tnames
+    dF = parse_polynomial("z^2 + t1", names)
     for b_text in ["1", "z", "z^2", "3 + z^3"]:
-        b = TPoly.from_z(parse_polynomial(b_text, znames), 6, U.tnames)
-        assert family_normal_form(U, b * dF, 6).is_zero()
+        b = parse_polynomial(b_text, names)
+        assert all(c.is_zero() for c in family_normal_form(U, b * dF, 6))
+
+
+def test_z_polynomial_is_read_at_t_degree_zero():
+    U = unfold("z^4/4")
+    g = parse_polynomial("z^5 + 2*z^2")
+    lifted = Polynomial({m + (0,) * U.mu: c for m, c in g.coeffs.items()},
+                        U.f.names + U.tnames)
+    assert family_normal_form(U, g, 3) == family_normal_form(U, lifted, 3)
+    with pytest.raises(ValueError):
+        family_normal_form(U, parse_polynomial("x", ("x",)), 3)
 
 
 def test_normal_form_is_linear_over_parameters():
@@ -100,8 +108,26 @@ def test_normal_form_is_linear_over_parameters():
         g2 = Polynomial({(rng.randrange(6),): Fraction(rng.randrange(-4, 5))
                          for _ in range(3)}, znames)
         lhs = family_normal_form(U, g1 + g2, 5)
-        rhs = family_normal_form(U, g1, 5) + family_normal_form(U, g2, 5)
-        assert (lhs - rhs).is_zero()
+        rhs = [a + b for a, b in zip(family_normal_form(U, g1, 5),
+                                     family_normal_form(U, g2, 5))]
+        assert lhs == rhs
+
+
+_UNFOLDINGS = {name: unfold(src, ("x", "y")) for name, src in
+               [("E6", "x^3+y^4"), ("E7", "x^3+x*y^3"), ("D5", "x^2*y+y^4")]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_t_degree_zero_coordinates_are_the_milnor_ring_coordinates(data):
+    U = _UNFOLDINGS[data.draw(st.sampled_from(sorted(_UNFOLDINGS)), label="U")]
+    nt = data.draw(st.integers(0, 2), label="nt")
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.fractions(-3, 3, max_denominator=4), max_size=4), label="g")
+    g = Polynomial(terms, U.f.names)
+    got = [c.constant_term() for c in family_normal_form(U, g, nt)]
+    assert got == U.ring.coords(g)
 
 
 # -- deformed multiplication ---------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lglab import groebner
 from lglab.groebner import divide, groebner_basis, milnor_ring
 from lglab.poly import Polynomial, parse_polynomial
-from lglab.util import ComputeError
+from lglab.util import ComputeError, PrecondError
 
 
 def P(text, names, laurent=False):
@@ -179,6 +179,19 @@ class TestMilnorRing:
         R = milnor_ring(P("x^3 + y^3", names))
         for m in [(0, 0), (1, 0), (0, 1)]:
             assert R.residue(Polynomial.monomial(m, 1, names)) == 0
+
+    def test_vector_reads_a_normal_form_and_rejects_other_monomials(self):
+        names = ("x", "y")
+        R = milnor_ring(P("x^3 + y^3", names))
+        assert R.vector(P("2 - x*y/3", names)) == [2, 0, 0, Fraction(-1, 3)]
+        with pytest.raises(ComputeError, match="basis span"):
+            R.vector(P("x^2", names))
+
+    def test_residue_without_a_socle_fails_the_precondition(self):
+        R = milnor_ring(P("x^3 + y^4 + x^2*y^2", ("x", "y")))
+        assert R.mu == 8 and R.socle is None
+        with pytest.raises(PrecondError, match="one-dimensional socle"):
+            R.residue(P("x", ("x", "y")))
 
     def test_residue_of_hessian_is_mu(self):
         from lglab.poly import hessian_det
