@@ -431,7 +431,7 @@ def _check_adjoints(seed: int):
     grid = build_grid(3.0, 17)
     f = parse_polynomial("z^3/3", ("z",))
     worst = 0.0
-    for backend in ("fd1", "fd1b", "fd2", "spectral"):
+    for backend in ("fd1", "fd2", "spectral"):
         ops = Operators(grid, f, backend)
         for kind in ("dbar_f", "d_f", "partial_f"):
             a = DiscreteForm(grid, rng.standard_normal((4, 17, 17))

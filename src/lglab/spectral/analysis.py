@@ -54,6 +54,7 @@ from .operators import Operators
 
 DEFAULT_GAP_THRESHOLD = 1e-3
 GAP_RATIO = 100.0  # certification: first excluded / last included
+SHIFT = 1e-6  # every factorization is of M + SHIFT·I
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -88,8 +89,8 @@ def _project(K: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _gemm(K, _gemm(K, X, trans=2))
 
 
-def _factor(M, shift: float):
-    """Solver for (M + shift·I) x = b: SuperLU for a sparse M, LAPACK LU
+def _factor(M):
+    """Solver for (M + SHIFT·I) x = b: SuperLU for a sparse M, LAPACK LU
     for a dense one.  With ``_apply``, the only places that tell the two
     formats apart.
 
@@ -104,11 +105,11 @@ def _factor(M, shift: float):
     n = M.shape[0]
     if sp.issparse(M):
         return spla.splu(
-            (M + shift * sp.identity(n, dtype=complex, format="csr")).tocsc(),
+            (M + SHIFT * sp.identity(n, dtype=complex, format="csr")).tocsc(),
             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
             options={"SymmetricMode": True}).solve
     shifted = np.array(M, dtype=complex)
-    shifted.flat[::n + 1] += shift
+    shifted.flat[::n + 1] += SHIFT
     lu = sla.lu_factor(shifted, overwrite_a=True)
     return lambda b: sla.lu_solve(lu, b)
 
@@ -124,10 +125,10 @@ def _lowest_pairs(M, k: int, seed: int):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # the factor is handed over as OPinv so ARPACK never copies M itself
-    OPinv = spla.LinearOperator(M.shape, matvec=_factor(M, 1e-6),
+    OPinv = spla.LinearOperator(M.shape, matvec=_factor(M),
                                 dtype=complex)
     try:
-        vals, vecs = spla.eigsh(M, k=k, sigma=-1e-6, which="LM", v0=v0,
+        vals, vecs = spla.eigsh(M, k=k, sigma=-SHIFT, which="LM", v0=v0,
                                 tol=1e-12, maxiter=1000, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:
         # clustered spectra (e.g. vanishing twist) may stall; keep
@@ -308,9 +309,8 @@ class SpectralContext:
     def solver(self, degree: int, flavor: str = "dbar_f"):
         key = (flavor, degree)
         if key not in self._solve:
-            M = self.ops.laplacian_matrix(flavor, degree)
-            scale = max(float(np.mean(np.abs(M.diagonal()))), 1e-30)
-            self._solve[key] = _factor(M, 1e-10 * scale)
+            self._solve[key] = _factor(
+                self.ops.laplacian_matrix(flavor, degree))
         return self._solve[key]
 
     def green(self, degree: int, b: np.ndarray, flavor: str = "dbar_f",
@@ -349,19 +349,21 @@ def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
     """Split a form into harmonic, twisted-exact and twisted-coexact
     parts, degree sector by degree sector.
 
-    The harmonic part is the projection onto the computed kernel.  The
-    twisted-exact part is the orthogonal (least-squares) projection of
-    the remainder onto the image of the twisted differential, obtained
-    from a positive-definite solve one degree down; the final remainder
-    is the coexact part.  Orthogonality of the three pieces is therefore
-    a property of the construction, not of a discretization limit, and
-    holds to solver precision."""
+    The harmonic part is the projection onto the computed kernel.  Only
+    degree 1 needs a solve: its twisted-exact part is the orthogonal
+    (least-squares) projection of the remainder onto the image of the
+    twisted differential, obtained from the positive-definite degree-0
+    Laplacian, and what is left is coexact.  Nothing maps into degree 0
+    and nothing leaves degree 2, so there the whole non-harmonic
+    remainder is coexact and exact respectively.  Orthogonality of the
+    three pieces is therefore a property of the construction, not of a
+    discretization limit, and holds to solver precision."""
     ctx = context if context is not None else SpectralContext(
         f, grid, backend=backend, seed=seed)
     grid = ctx.grid
     if form.grid != grid:
         raise PrecondError("form grid does not match the context grid")
-    A0, A1 = ctx.ops.sector_matrices("dbar_f")
+    A0, _ = ctx.ops.sector_matrices("dbar_f")
     harmonic = DiscreteForm(grid)
     image = DiscreteForm(grid)
     coimage = DiscreteForm(grid)
@@ -376,19 +378,15 @@ def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
         K = ctx.kernel_matrix(degree)
         h = _project(K, v)
         w = v - h
-        if degree == 0:
-            # the adjoint differential from degree 1 hits all of the
-            # non-harmonic sector: everything left is coexact
-            c = A0.conj().T @ (A0 @ ctx.green(0, w))
-            c = c - _project(K, c)
-            e = w - c
-        else:
-            # degree 1: least-squares projection onto the image of the
-            # twisted differential via the degree-0 Laplacian
-            e = (A0 @ ctx.green(0, A0.conj().T @ w) if degree == 1
-                 else A1 @ (A1.conj().T @ ctx.green(2, w)))
+        if degree == 1:
+            # least-squares projection onto the image of the twisted
+            # differential via the degree-0 Laplacian
+            e = A0 @ ctx.green(0, A0.conj().T @ w)
             e = e - _project(K, e)
-            c = w - e
+        else:
+            # nothing maps into degree 0 and nothing leaves degree 2
+            e = w if degree == 2 else np.zeros_like(w)
+        c = w - e
         harmonic = harmonic + DiscreteForm.unpack(grid, sector, h)
         image = image + DiscreteForm.unpack(grid, sector, e)
         coimage = coimage + DiscreteForm.unpack(grid, sector, c)
@@ -618,28 +616,25 @@ def _paired_subspace(K_fwd: np.ndarray, K_bwd: np.ndarray) -> np.ndarray:
     return _gemm(Q, V[:, w > PAIR_KEEP_THRESHOLD])
 
 
-def _point_reflection(fwd, bwd):
-    """(flip, sign) with ``bwd`` = Π·S·``fwd``·S·Π to rounding, or None.
+def _reflected(f: Polynomial) -> Polynomial:
+    """f(−z): the coefficients of odd degree negated."""
+    return Polynomial._trusted(
+        {m: -c if m[0] % 2 else c for m, c in f.coeffs.items()},
+        f.names, f.mode)
 
-    ``fwd`` and ``bwd`` are sparse degree-1 Laplacians on the (dz, dz̄)
-    sector.  Π is the point reflection z → −z, which on a component
-    flattened row-major reverses its index order, and S = diag(sign) is
-    the identity or −1 on the dz block; ``flip`` is Π as an index array.
-    The mirror of ``fwd`` is formed once; the two candidates for S differ
-    only in the sign of its entries that couple dz to dz̄."""
-    n = fwd.shape[0] // 2
-    flip = np.concatenate([np.arange(n - 1, -1, -1),
-                           np.arange(2 * n - 1, n - 1, -1)])
-    rows = np.repeat(np.arange(2 * n), np.diff(fwd.indptr))
-    mirror = sp.csr_matrix((fwd.data, (flip[rows], flip[fwd.indices])),
-                           shape=fwd.shape)
-    rows = np.repeat(np.arange(2 * n), np.diff(mirror.indptr))
-    cross = (rows < n) != (mirror.indices < n)
-    tol = 1e-12 * np.max(np.abs(bwd.data))
+
+def _reflection_sign(L_f, L_g):
+    """``sign`` with ``L_g`` = S·``L_f``·S to rounding, or None.
+
+    ``L_f`` and ``L_g`` are sparse degree-1 Laplacians on the (dz, dz̄)
+    sector, of f and of f(−z), and S = diag(``sign`` on the dz block, 1
+    on dz̄)."""
+    n = L_f.shape[0] // 2
+    tol = 1e-12 * abs(L_g).max()
     for sign in (1.0, -1.0):
-        mirror.data[cross] *= sign  # the second pass tries S = −1 on dz
-        if np.max(np.abs((bwd - mirror).data), initial=0.0) <= tol:
-            return flip, np.concatenate([sign * np.ones(n), np.ones(n)])
+        S = sp.diags(np.repeat([sign, 1.0], n))
+        if abs(L_g - S @ L_f @ S).max() <= tol:
+            return sign
     return None
 
 
@@ -665,14 +660,15 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     a boundary corner by one orientation do not pair with the other, so
     the averaged projector separates them cleanly.
 
-    The two orientations are mirror images: with P the reversal of one
-    axis, D_fd1b = −P·D_fd1·P exactly, so the fd1b Laplacian of f is the
-    point reflection Π (z → −z) of the fd1 Laplacian of f(−z).  For an
-    even f, and for an odd f in the two Dolbeault flavors, that is
-    Π·S·L_fd1·S·Π with S = ±1 on the dz block, and the fd1b kernel is
-    the reflected fd1 kernel.  Each flavor's two assembled Laplacians
-    are compared; where they agree to rounding the fd1b eigensolve is
-    skipped, and ``reflected_flavors`` names those flavors."""
+    The backward orientation needs no backend of its own (see
+    ``operators``): its Laplacian of f is Π·L[g]·Π, where L[g] is the fd1
+    Laplacian of g = f(−z) and Π is the point reflection z → −z, so its
+    kernel is Π times the fd1 kernel of g.  For an even f, and for an odd
+    f in the two Dolbeault flavors, L[g] = S·L[f]·S with S = ±1 on the dz
+    block, and the kernel of g is S times that of f.  Each flavor's two
+    fd1 Laplacians are compared; where they agree to rounding the
+    eigensolve on g is skipped, and ``reflected_flavors`` names those
+    flavors."""
     symmetrize = backend == "fd1"
     ops = Operators(grid, f, backend)
     describes, bases = {}, {}
@@ -683,28 +679,31 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
         describes[flavor] = res.describe()
         bases[flavor] = [_kernel_basis(res)]
     phase = np.exp(-1j * ops.f_values.imag).ravel()
+    n = grid.points ** 2
     reflected = []
     if symmetrize:
-        mirror_ops = Operators(grid, f, "fd1b")
-        mirrors = {flavor: _point_reflection(
+        g = _reflected(f)
+        mirror_ops = Operators(grid, g, "fd1")
+        signs = {flavor: _reflection_sign(
             ops.laplacian_matrix(flavor, 1),
             mirror_ops.laplacian_matrix(flavor, 1))
             for flavor in _DERHAM_FLAVORS}
-        del ops  # its matrices are not needed during the fd1b solves
-        for flavor in _DERHAM_FLAVORS:
-            if mirrors[flavor] is not None:
-                flip, sign = mirrors[flavor]
-                bases[flavor].append(sign[:, None] * bases[flavor][0][flip])
+        del ops  # its matrices are not needed during the solves on g
+        for flavor, sign in signs.items():
+            if sign is None:
+                K = _kernel_basis(eigensolve_lowest(
+                    g, grid, degree=1, k=k, backend="fd1", seed=seed,
+                    gap_threshold=gap_threshold, flavor=flavor,
+                    operators=mirror_ops))
+            else:
+                K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
                 reflected.append(flavor)
-                continue
-            res = eigensolve_lowest(f, grid, degree=1, k=k, backend="fd1b",
-                                    seed=seed, gap_threshold=gap_threshold,
-                                    flavor=flavor, operators=mirror_ops)
-            bases[flavor].append(_kernel_basis(res))
+            # Π reverses the flat index of each component
+            bases[flavor].append(
+                K.reshape(2, n, K.shape[1])[:, ::-1].reshape(K.shape))
     K_dol, K_mid, K_dr = (_paired_subspace(*pair) if symmetrize else pair[0]
                           for pair in bases.values())
 
-    n = grid.points ** 2
     halve_dz = np.concatenate([0.5 * np.ones(n), np.ones(n)])
     phase2 = np.concatenate([phase, phase])
 

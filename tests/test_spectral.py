@@ -1,10 +1,12 @@
 """Grid, discrete forms, twisted operators, spectra, Hodge pieces, homotopy."""
 
 import csv
+import json
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +38,16 @@ from lglab.spectral import (
     write_eigenvalues_csv,
     write_harmonic_profile_csv,
 )
-from lglab.spectral import analysis
-from lglab.spectral.analysis import _DERHAM_FLAVORS, _factor, _point_reflection
+from lglab.spectral import analysis, operators
+from lglab.spectral.analysis import (
+    _DERHAM_FLAVORS,
+    SHIFT,
+    _factor,
+    _reflected,
+    _reflection_sign,
+)
 from lglab.spectral.forms import (
+    DEGREE_SECTORS,
     conjugate,
     gaussian_form,
     hodge_star,
@@ -47,7 +56,6 @@ from lglab.spectral.forms import (
 from lglab.spectral.operators import (
     _FLAVORS,
     derivative_matrix_fd1,
-    derivative_matrix_fd1b,
     derivative_matrix_fd2,
     derivative_matrix_spectral,
 )
@@ -176,15 +184,21 @@ def test_gaussian_form_peaks_at_its_center():
 # -- derivative backends and adjoints -------------------------------------------
 
 
+def backward_stencil(m: int, h: float) -> sp.csr_matrix:
+    """−P·D·P for the forward one-sided D and P the reversal of one axis:
+    the backward-oriented stencil, which has no backend of its own."""
+    P = sp.csr_matrix(np.eye(m)[::-1])
+    return (-P @ derivative_matrix_fd1(m, h) @ P).tocsr()
+
+
 def test_backward_stencil_is_the_negative_transpose_of_forward():
     fwd = derivative_matrix_fd1(21, 0.25)
-    bwd = derivative_matrix_fd1b(21, 0.25)
+    bwd = backward_stencil(21, 0.25)
     assert (fwd + bwd.T).nnz == 0
 
 
 DERIVATIVE_MATRICES = {
     "fd1": derivative_matrix_fd1,
-    "fd1b": derivative_matrix_fd1b,
     "fd2": derivative_matrix_fd2,
     "spectral": derivative_matrix_spectral,
 }
@@ -397,6 +411,8 @@ def test_operators_reject_unsupported_inputs():
     with pytest.raises(PrecondError):
         Operators(grid, F2, "fd9")
     with pytest.raises(PrecondError):
+        Operators(grid, F2, "fd1b")  # the backward stencil is fd1 of f(−z)
+    with pytest.raises(PrecondError):
         Operators(grid, parse_polynomial("x^2+y^2", ("x", "y")), "fd2")
     with pytest.raises(PrecondError):
         Operators(grid, parse_polynomial("z+z^-1", ("z",), laurent=True), "fd2")
@@ -508,30 +524,28 @@ def test_grid_path_keeps_dense_linear_algebra_off_numpy_linalg(monkeypatch):
     assert report["dims_agree"] and report["dolbeault_dim"] == 1
 
 
-def test_sparse_factor_solves_with_diagonal_pivots_at_both_shifts():
-    # every factored matrix is Hermitian PSD plus a positive shift, so
+def test_sparse_factor_solves_with_diagonal_pivots():
+    # every factored matrix is Hermitian PSD plus the positive SHIFT, so
     # SuperLU runs in symmetric mode without pivoting: the row
     # permutation is the column ordering
     grid = build_grid(4.0, 17)
     rng = np.random.default_rng(3)
-    for backend in ("fd1", "fd1b", "fd2"):
+    for backend in ("fd1", "fd2"):
         ops = Operators(grid, F3, backend)
         for flavor in _FLAVORS:
             for degree in (0, 1, 2):
                 M = ops.laplacian_matrix(flavor, degree)
                 n = M.shape[0]
                 b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                # the eigensolve's shift and SpectralContext.solver's
-                for shift in (1e-6, 1e-10 * np.mean(np.abs(M.diagonal()))):
-                    solve = _factor(M, shift)
-                    x = solve(b)
-                    A = M + shift * sp.identity(n)
-                    backward = np.linalg.norm(A @ x - b) / (
-                        spla.norm(A) * np.linalg.norm(x))
-                    assert backward <= 1e-10, (backend, flavor, degree)
-                    lu = solve.__self__
-                    assert np.array_equal(lu.perm_r, lu.perm_c), (
-                        backend, flavor, degree)
+                solve = _factor(M)
+                x = solve(b)
+                A = M + SHIFT * sp.identity(n)
+                backward = np.linalg.norm(A @ x - b) / (
+                    spla.norm(A) * np.linalg.norm(x))
+                assert backward <= 1e-10, (backend, flavor, degree)
+                lu = solve.__self__
+                assert np.array_equal(lu.perm_r, lu.perm_c), (
+                    backend, flavor, degree)
 
 
 @pytest.mark.parametrize("text,mu", [("z^2/2", 1), ("z^3/3", 2),
@@ -614,6 +628,51 @@ def test_hodge_pieces_are_orthogonal_on_random_forms():
         split = hodge_decompose(F2, grid, a, backend="fd1", context=ctx)
         assert split.relative_residual <= 1e-9
         assert split.max_cross <= 1e-9
+
+
+def _hodge_by_green_solves(ctx, form):
+    """Reference split with a Green solve in every degree, so the pieces
+    the mathematics forces to zero (the degree-0 image, the degree-2
+    coimage) are computed rather than set."""
+    A0, A1 = ctx.ops.sector_matrices("dbar_f")
+    pieces = [DiscreteForm(ctx.grid) for _ in range(3)]
+    for degree, sector in DEGREE_SECTORS.items():
+        v = form.pack(sector)
+        K = ctx.kernel_matrix(degree)
+
+        def project(x):
+            return K @ (K.conj().T @ x)
+
+        h = project(v)
+        w = v - h
+        if degree == 0:
+            c = A0.conj().T @ (A0 @ ctx.green(0, w))
+            c = c - project(c)
+            e = w - c
+        else:
+            e = (A0 @ ctx.green(0, A0.conj().T @ w) if degree == 1
+                 else A1 @ (A1.conj().T @ ctx.green(2, w)))
+            e = e - project(e)
+            c = w - e
+        for i, x in enumerate((h, e, c)):
+            pieces[i] = pieces[i] + DiscreteForm.unpack(ctx.grid, sector, x)
+    return pieces
+
+
+@pytest.mark.parametrize("f", [F2, F3])
+def test_hodge_pieces_match_the_green_solve_in_every_degree(f):
+    grid = build_grid(4.0, 33)
+    ctx = SpectralContext(f, grid, backend="fd1")
+    rng = random.Random(23)
+    for _ in range(3):
+        a = random_smooth_form(grid, rng)
+        split = hodge_decompose(f, grid, a, context=ctx)
+        assert not np.any(split.image.comps[0])
+        assert not np.any(split.coimage.comps[3])
+        want = _hodge_by_green_solves(ctx, a)
+        got = (split.harmonic, split.image, split.coimage)
+        for piece, ref in zip(got, want):
+            assert norm(piece - ref) <= 1e-12 * norm(a)
 
 
 def test_hodge_of_zero_is_zero():
@@ -743,13 +802,7 @@ def _potential(coeffs):
                                "poly")
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), parity=st.sampled_from(["even", "odd", "mixed"]),
-       complex_coeffs=st.booleans(),
-       m=st.sampled_from([17, 19, 21, 23, 25, 27, 29, 31, 33]),
-       half_width=st.sampled_from([3.0, 4.0, 4.5, 5.0]))
-def test_fd1b_laplacian_is_the_point_reflection_where_parity_allows(
-        data, parity, complex_coeffs, m, half_width):
+def _random_potential(data, parity, complex_coeffs):
     part = st.integers(-4, 4).filter(bool)
     coeff = (st.builds(complex, part, part) if complex_coeffs
              else st.builds(Fraction, part, st.integers(1, 6)))
@@ -758,21 +811,71 @@ def test_fd1b_laplacian_is_the_point_reflection_where_parity_allows(
     odds = data.draw(st.lists(st.sampled_from([1, 3, 5]), min_size=1,
                               unique=True))
     exponents = {"even": evens, "odd": odds, "mixed": evens + odds}[parity]
-    f = _potential({k: data.draw(coeff) for k in exponents})
+    return _potential({k: data.draw(coeff) for k in exponents})
+
+
+def _point_reflection(degree, points):
+    """Π (z → −z) on a flat vector of a degree sector, as an index array:
+    it reverses each component's row-major flat index."""
+    n = points ** 2
+    return np.concatenate([np.arange((c + 1) * n - 1, c * n - 1, -1)
+                           for c in range(len(DEGREE_SECTORS[degree]))])
+
+
+def _backward_operators(grid, f):
+    """Operators of f on the backward stencil, patched in for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(operators._DERIVATIVES, "fd1b", backward_stencil)
+        return Operators(grid, f, "fd1b")
+
+
+POTENTIALS = dict(
+    data=st.data(), parity=st.sampled_from(["even", "odd", "mixed"]),
+    complex_coeffs=st.booleans(),
+    m=st.sampled_from([17, 19, 21, 23, 25, 27, 29, 31, 33]),
+    half_width=st.sampled_from([3.0, 4.0, 4.5, 5.0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**POTENTIALS)
+def test_backward_laplacian_is_the_reflected_laplacian_of_f_at_minus_z(
+        data, parity, complex_coeffs, m, half_width):
+    # the reference for the backward orientation: every flavor and degree
+    # of the backward-stencil Laplacian of f is Π·L_fd1[f(−z)]·Π
+    f = _random_potential(data, parity, complex_coeffs)
     grid = build_grid(half_width, m)
-    fwd, bwd = Operators(grid, f, "fd1"), Operators(grid, f, "fd1b")
+    bwd = _backward_operators(grid, f)
+    mirror = Operators(grid, _reflected(f), "fd1")
+    for flavor in _FLAVORS:
+        for degree in (0, 1, 2):
+            flip = _point_reflection(degree, m)
+            M_bwd = bwd.laplacian_matrix(flavor, degree)
+            reflected = mirror.laplacian_matrix(flavor, degree)[flip][:, flip]
+            assert (abs(M_bwd - reflected).max()
+                    <= 1e-14 * abs(M_bwd).max()), (str(f), flavor, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**POTENTIALS)
+def test_fd1b_laplacian_is_the_point_reflection_where_parity_allows(
+        data, parity, complex_coeffs, m, half_width):
+    f = _random_potential(data, parity, complex_coeffs)
+    grid = build_grid(half_width, m)
+    fwd = Operators(grid, f, "fd1")
+    mirror = Operators(grid, _reflected(f), "fd1")
+    bwd = _backward_operators(grid, f)
+    flip = _point_reflection(1, m)
     for flavor in _DERHAM_FLAVORS:
         M_fwd = fwd.laplacian_matrix(flavor, 1)
-        M_bwd = bwd.laplacian_matrix(flavor, 1)
-        found = _point_reflection(M_fwd, M_bwd)
+        sign = _reflection_sign(M_fwd, mirror.laplacian_matrix(flavor, 1))
         holds = parity == "even" or (parity == "odd" and flavor != "d_f")
         if not holds:
-            assert found is None, (str(f), flavor)
+            assert sign is None, (str(f), flavor)
             continue
-        assert found is not None, (str(f), flavor)
-        flip, sign = found
-        S = sp.diags(sign)
-        mirrored = S @ M_fwd[flip][:, flip] @ S
+        assert sign is not None, (str(f), flavor)
+        S = sp.diags(np.repeat([sign, 1.0], m * m))
+        mirrored = (S @ M_fwd @ S)[flip][:, flip]
+        M_bwd = bwd.laplacian_matrix(flavor, 1)
         assert abs(M_bwd - mirrored).max() <= 1e-12 * abs(M_bwd).max()
 
 
@@ -785,7 +888,7 @@ def test_reflected_fd1b_kernels_give_the_solved_report(f, grid, reflected,
                                                       monkeypatch):
     grid = build_grid(*grid)
     fast = derham_compare(f, grid, backend="fd1")
-    monkeypatch.setattr(analysis, "_point_reflection", lambda *mats: None)
+    monkeypatch.setattr(analysis, "_reflection_sign", lambda *mats: None)
     solved = derham_compare(f, grid, backend="fd1")
     assert fast["reflected_flavors"] == reflected
     assert solved["reflected_flavors"] == []
@@ -794,6 +897,27 @@ def test_reflected_fd1b_kernels_give_the_solved_report(f, grid, reflected,
         assert fast[key] == solved[key], key
     assert abs(fast["max_angle_degrees"]
                - solved["max_angle_degrees"]) <= 1e-9
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# the first two take the reflection path, the third solves on f(−z)
+@pytest.mark.parametrize("text, half_width, points, name", [
+    ("z^2/2", 4.0, 33, "derham_z2_4_33.json"),
+    ("z^3/3", 3.0, 41, "derham_z3_3_41.json"),
+    ("z^3/3+z^2/2", 4.0, 49, "derham_z3z2_4_49.json"),
+])
+def test_derham_report_matches_the_golden_file(text, half_width, points,
+                                               name):
+    report = derham_compare(Pz(text), build_grid(half_width, points),
+                            backend="fd1")
+    golden = json.loads((GOLDEN / name).read_text())
+    for key in ("dolbeault", "mid", "derham", "dolbeault_dim",
+                "derham_dim", "dims_agree", "reflected_flavors"):
+        assert report[key] == golden[key], key
+    assert abs(report["max_angle_degrees"]
+               - golden["max_angle_degrees"]) <= 1e-12
 
 
 def test_a_potential_of_neither_parity_solves_both_orientations():
