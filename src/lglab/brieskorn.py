@@ -337,9 +337,8 @@ class BrieskornLattice:
         """Rewrite a function-valued u-series as coordinates on the Milnor
         basis plus an exact coboundary certificate.
 
-        Accepts a Polynomial, a PVField concentrated in degree zero, a
-        USeriesPV of such, or a dict {u-power: Polynomial}.  Returns
-        (element, eta) with::
+        Accepts a Polynomial, a PVField concentrated in degree zero, or a
+        dict {u-power: Polynomial}.  Returns (element, eta) with::
 
             input - (contraction + u*divergence)(eta) == element
 
@@ -380,22 +379,12 @@ class BrieskornLattice:
                 USeriesPV(cert, N, names) if certify else None)
 
     def _coerce_series(self, g, N: int) -> dict[int, Polynomial]:
-        names = self.f.names
         if isinstance(g, Polynomial):
             return {0: g}
         if isinstance(g, PVField):
             if set(g.parts) - {()}:
                 raise PrecondError("reduction applies to degree-zero fields only")
             return {0: g.function_part()}
-        if isinstance(g, USeriesPV):
-            out = {}
-            for k, v in g.coeffs.items():
-                if set(v.parts) - {()}:
-                    raise PrecondError("reduction applies to degree-zero fields only")
-                out[k] = v.function_part()
-            return out
-        if isinstance(g, LatticeElement):
-            return self.to_polynomial_series(g)
         if isinstance(g, dict):
             return {int(k): v for k, v in g.items() if k <= N}
         raise TypeError(f"cannot reduce object of type {type(g).__name__}")
@@ -422,17 +411,14 @@ class BrieskornLattice:
         The residue kills every basis monomial but the socle, whose residue
         is mu / h (h the socle coefficient of the Hessian), so each u-power
         contributes its socle coordinate times mu / h."""
-        if self.ring.socle is None:
-            raise PrecondError("residue pairing needs a one-dimensional socle")
+        sigma = self.ring.socle_index()
         key = (min(p, q), max(p, q))
         if key not in self._pair_table:
             names = self.f.names
             prod = Polynomial.monomial(self.ring.basis[key[0]], 1, names) * \
                 Polynomial.monomial(self.ring.basis[key[1]], 1, names)
             red = self.reduce(prod, self.order + 2)
-            sigma = self.ring.basis.index(self.ring.socle)
-            scale = Fraction(self.mu) / self.ring.hessian_socle_coeff
-            self._pair_table[key] = {k: vec[sigma] * scale
+            self._pair_table[key] = {k: vec[sigma] * self.ring.residue_scale
                                      for k, vec in red.coords.items() if vec[sigma]}
         return self._pair_table[key]
 
@@ -441,8 +427,7 @@ class BrieskornLattice:
         argument enters through its series at -u.  Polynomial inputs are
         reduced first: the pairing is defined on lattice classes, not raw
         representatives."""
-        if self.ring.socle is None:
-            raise PrecondError("pairing needs a one-dimensional socle")
+        self.ring.socle_index()
         N = self.order
         ea = a if isinstance(a, LatticeElement) else self.reduce(a, N)
         eb = b if isinstance(b, LatticeElement) else self.reduce(b, N)

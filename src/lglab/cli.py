@@ -123,7 +123,12 @@ class Report:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {path} is not UTF-8 text")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -309,11 +314,10 @@ def _cmd_spectrum(cfg: RunConfig) -> Report:
         report.warnings.append(
             "spectral:eigensolve kernel count not certified; see notes")
     if cfg.plot_dir:
-        outdir = Path(cfg.plot_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_eigenvalues_csv(result, outdir / "eigenvalues.csv")
+        report.tables["eigenvalues.csv"] = write_eigenvalues_csv(result)
         if result.eigenforms:
-            write_harmonic_profile_csv(result, outdir / "harmonic_profile.csv")
+            report.tables["harmonic_profile.csv"] = \
+                write_harmonic_profile_csv(result)
     return report
 
 
@@ -433,13 +437,13 @@ def _check_adjoints(seed: int):
     worst = 0.0
     for backend in ("fd1", "fd2", "spectral"):
         ops = Operators(grid, f, backend)
-        for kind in ("dbar_f", "d_f", "partial_f"):
+        for flavor in ("dbar_f", "d_f", "partial_f"):
             a = DiscreteForm(grid, rng.standard_normal((4, 17, 17))
                              + 1j * rng.standard_normal((4, 17, 17)))
             b = DiscreteForm(grid, rng.standard_normal((4, 17, 17))
                              + 1j * rng.standard_normal((4, 17, 17)))
-            lhs = inner(ops.apply(kind, a), b)
-            rhs = inner(a, ops.apply(kind + "_star", b))
+            lhs = inner(ops.diff(flavor, a), b)
+            rhs = inner(a, ops.diff_adjoint(flavor, b))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     if worst > 1e-12:
         return False, f"adjoint defect {worst:.2e}"
@@ -573,21 +577,28 @@ def _render_value(value, indent=0) -> list[str]:
 
 
 def emit_report(report: Report, cfg: RunConfig) -> None:
+    """Print the report, then write ``--out`` and the ``--plot-dir``
+    tables: the one place ``lg`` writes files.  A path that cannot be
+    written is a ``UsageError`` naming it."""
     print(f"[{report.command}]")
     body = jsonable(report.results)
     for line in _render_value(body):
         print(line)
     for warning in report.warnings:
         print(f"warning: {warning}")
-    if cfg.out:
-        dump_json(report.describe(), cfg.out)
-        print(f"report written to {cfg.out}")
-    if cfg.plot_dir and report.tables:
-        outdir = Path(cfg.plot_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in report.tables.items():
-            (outdir / name).write_text(text)
-            print(f"plot data written to {outdir / name}")
+    try:
+        if cfg.out:
+            dump_json(report.describe(), cfg.out)
+            print(f"report written to {cfg.out}")
+        if cfg.plot_dir and report.tables:
+            outdir = Path(cfg.plot_dir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, text in report.tables.items():
+                # newline="" keeps each table's line ends as they are
+                (outdir / name).write_text(text, newline="")
+                print(f"plot data written to {outdir / name}")
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -599,6 +610,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         report = execute_command(cfg)
+        emit_report(report, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -611,7 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     except ComputeError as exc:
         print(f"computation failed: [{cfg.command}] {exc}", file=sys.stderr)
         return 1
-    emit_report(report, cfg)
     return report.exit_status
 
 

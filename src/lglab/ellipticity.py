@@ -246,8 +246,11 @@ def _torus_system_is_empty(system: list[Polynomial], names: tuple[str, ...]) -> 
     return gb.contains_one()
 
 
-def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int,
-                           starts: int = 200, tol: float = 1e-10):
+NEWTON_STARTS = 200  # random torus starts of the witness search
+NEWTON_TOL = 1e-10  # residual at which a Newton start has converged
+
+
+def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int):
     """Damped Gauss-Newton from random torus starts; returns a witness or None."""
     rng = np.random.default_rng(seed)
     derivs = [[s.diff(i) for i in range(nvars)] for s in system]
@@ -259,14 +262,14 @@ def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int,
         return np.array([[derivs[k][i].eval_complex(z) for i in range(nvars)]
                          for k in range(len(system))])
 
-    for _ in range(starts):
+    for _ in range(NEWTON_STARTS):
         logmod = rng.uniform(-1.5, 1.5, nvars)
         phase = rng.uniform(0, 2 * np.pi, nvars)
         z = np.exp(logmod + 1j * phase)
         for _ in range(60):
             Fz = F(z)
             res = np.linalg.norm(Fz)
-            if res < tol:
+            if res < NEWTON_TOL:
                 break
             step, *_ = np.linalg.lstsq(J(z), -Fz, rcond=None)
             t = 1.0
@@ -280,7 +283,7 @@ def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int,
                 t *= 0.5
             if not improved:
                 break
-        if np.linalg.norm(F(z)) < tol and np.all(np.abs(z) > 1e-6):
+        if np.linalg.norm(F(z)) < NEWTON_TOL and np.all(np.abs(z) > 1e-6):
             return tuple(complex(v) for v in z)
     return None
 
@@ -342,9 +345,12 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
 # -- numeric growth table --------------------------------------------------------
 
 
+GROWTH_DIRECTIONS = 64  # sampled directions per sphere
+GROWTH_EPS = 0.1  # the eps of the sampled margin eps*|grad f|^k - |grad^k f|
+
+
 def numeric_growth_table(f: Polynomial, k_max: int = 3,
                          radii: tuple = (2.0, 4.0, 8.0, 16.0, 32.0),
-                         directions: int = 64, eps: float = 0.1,
                          seed: int = 0) -> EllipticityReport:
     """Sample eps*|grad f|^k - |grad^k f| over spheres of growing radius.
 
@@ -387,14 +393,15 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
         # infinity on the torus means the log-modulus leaves every compact
         # set; phases are compact directions, so sample them uniformly and
         # put the radius entirely on the modulus
-        v = rng.normal(size=(directions, n))
+        v = rng.normal(size=(GROWTH_DIRECTIONS, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        phases = rng.uniform(0, 2 * np.pi, size=(directions, n))
+        phases = rng.uniform(0, 2 * np.pi, size=(GROWTH_DIRECTIONS, n))
 
         def point(r, idx):
             return np.exp(r * v[idx] + 1j * phases[idx])
     else:
-        dirs = rng.normal(size=(directions, n)) + 1j * rng.normal(size=(directions, n))
+        dirs = (rng.normal(size=(GROWTH_DIRECTIONS, n))
+                + 1j * rng.normal(size=(GROWTH_DIRECTIONS, n)))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
         def point(r, idx):
@@ -404,11 +411,11 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
     for k in range(2, k_max + 1):
         for r in radii:
             margins = []
-            for idx in range(directions):
+            for idx in range(GROWTH_DIRECTIONS):
                 z = point(r, idx)
                 grad2 = sum(abs(p.eval_complex(z)) ** 2 for _, p in tensors[1])
                 tens2 = sum(wt * abs(p.eval_complex(z)) ** 2 for wt, p in tensors[k])
-                margins.append(eps * grad2 ** (k / 2) - math.sqrt(tens2))
+                margins.append(GROWTH_EPS * grad2 ** (k / 2) - math.sqrt(tens2))
             rows.append((k, float(r), float(min(margins))))
 
     ok = True
@@ -422,7 +429,8 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
     verdict = LIKELY if ok else UNKNOWN
     reason = ("sampled margins positive and increasing at the largest radii"
               if ok else "sampled margins fail to grow")
-    return EllipticityReport(verdict, reason, {"eps": eps, "directions": directions},
+    return EllipticityReport(verdict, reason,
+                             {"eps": GROWTH_EPS, "directions": GROWTH_DIRECTIONS},
                              table=rows)
 
 

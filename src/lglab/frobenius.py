@@ -159,9 +159,7 @@ def _socle_index(U: Unfolding) -> int:
     of the family residue hold."""
     if U.ring.weights is None:
         raise PrecondError("family residues require a quasi-homogeneous base")
-    if U.ring.socle is None:
-        raise PrecondError("family residues require a one-dimensional socle")
-    return U.phis.index(U.ring.socle)
+    return U.ring.socle_index()
 
 
 def _normalizer_inverse(U: Unfolding, nt: int) -> Polynomial:

@@ -256,7 +256,7 @@ class MilnorRing:
     basis: list[Monomial] | None
     weights: WeightSystem | None
     socle: Monomial | None = None
-    hessian_socle_coeff: Fraction | None = None
+    residue_scale: Fraction | None = None  # mu / (socle coeff of the Hessian)
     _index: dict[Monomial, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -303,6 +303,14 @@ class MilnorRing:
         n = len(self.basis)
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
+    def socle_index(self) -> int:
+        """Position of the socle in the basis: the one check that the
+        residue functional exists."""
+        if self.socle is None:
+            raise PrecondError("residue needs a one-dimensional socle "
+                               "(finite mu and graded top degree)")
+        return self._index[self.socle]
+
     def residue(self, g: Polynomial) -> Fraction:
         """Total Grothendieck residue of g dz / (d_1 f ... d_n f).
 
@@ -310,12 +318,7 @@ class MilnorRing:
         basis monomial except the socle, so it reads off the socle
         coefficient of the normal form.
         """
-        if self.socle is None:
-            raise PrecondError("residue needs a one-dimensional socle "
-                               "(finite mu and graded top degree)")
-        r = self.gb.normal_form(g)
-        c = r.coeffs.get(self.socle, Fraction(0))
-        return c * Fraction(self.mu) / self.hessian_socle_coeff
+        return self.coords(g)[self.socle_index()] * self.residue_scale
 
 
 def _standard_monomials(lead_monos: list[Monomial], nvars: int) -> list[Monomial] | None:
@@ -371,11 +374,9 @@ def milnor_ring(f: Polynomial) -> MilnorRing:
     # socle: unique basis monomial of maximal degree, when unique
     top = deg(basis[-1])
     tops = [m for m in basis if deg(m) == top]
-    socle = tops[0] if len(tops) == 1 else None
-    hess_c = None
-    if socle is not None:
-        hess_nf = gb.normal_form(hessian_det(f))
-        hess_c = hess_nf.coeffs.get(socle, Fraction(0))
-        if hess_c == 0:
-            socle, hess_c = None, None
-    return MilnorRing(f, gb, mu, basis, weights, socle, hess_c)
+    hess_c = 0
+    if len(tops) == 1:
+        hess_c = gb.normal_form(hessian_det(f)).coeffs.get(tops[0], 0)
+    if hess_c == 0:
+        return MilnorRing(f, gb, mu, basis, weights)
+    return MilnorRing(f, gb, mu, basis, weights, tops[0], Fraction(mu) / hess_c)

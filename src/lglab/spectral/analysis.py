@@ -37,6 +37,7 @@ result are too small to be threaded and stay on NumPy.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,9 @@ from .operators import Operators
 DEFAULT_GAP_THRESHOLD = 1e-3
 GAP_RATIO = 100.0  # certification: first excluded / last included
 SHIFT = 1e-6  # every factorization is of M + SHIFT·I
+CONTEXT_FLAVOR = "dbar_f"  # the Laplacian a SpectralContext serves
+GREEN_REFINEMENTS = 3  # iterative-refinement passes of a Green solve
+HARMONIC_TOL = 1e-8  # harmonic defect a splitting-map input may have
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -206,7 +210,7 @@ def _kernel_basis(result: SpectralResult) -> np.ndarray:
 def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                       k: int = 8, backend: str = "fd2", seed: int = 7,
                       gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-                      flavor: str = "dbar_f",
+                      flavor: str = CONTEXT_FLAVOR,
                       operators: Operators | None = None) -> SpectralResult:
     """Lowest k eigenpairs of one Laplacian with a certified kernel count.
 
@@ -270,63 +274,55 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
 
 
 class SpectralContext:
-    """Caches matrices, factorizations, eigensolves and kernel bases for
-    one (f, grid, backend) so repeated decompositions stay cheap."""
+    """Caches matrices, factorizations, eigensolves and kernel bases of
+    the ``CONTEXT_FLAVOR`` Laplacian for one (f, grid, backend), per
+    degree, so repeated decompositions stay cheap."""
 
     def __init__(self, f: Polynomial | None, grid: Grid,
-                 backend: str = "fd2", seed: int = 7,
-                 gap_threshold: float = DEFAULT_GAP_THRESHOLD):
+                 backend: str = "fd2", seed: int = 7):
         self.f = f
         self.grid = grid
         self.backend = backend
         self.seed = seed
-        self.gap_threshold = gap_threshold
         self.ops = Operators(grid, f, backend)
         self._eig: dict = {}
         self._solve: dict = {}
         self._kernel: dict = {}
 
-    def eigensolve(self, degree: int, k: int = 8,
-                   flavor: str = "dbar_f") -> SpectralResult:
-        key = (flavor, degree)
-        cached = self._eig.get(key)
+    def eigensolve(self, degree: int, k: int = 8) -> SpectralResult:
+        cached = self._eig.get(degree)
         size = len(DEGREE_SECTORS[degree]) * self.grid.points ** 2
         if cached is not None and len(cached.eigenvalues) >= min(k, size - 2):
             return cached
-        self._eig[key] = eigensolve_lowest(
+        self._eig[degree] = eigensolve_lowest(
             self.f, self.grid, degree=degree, k=k, backend=self.backend,
-            seed=self.seed, gap_threshold=self.gap_threshold, flavor=flavor,
-            operators=self.ops)
-        return self._eig[key]
+            seed=self.seed, operators=self.ops)
+        return self._eig[degree]
 
-    def kernel_matrix(self, degree: int, flavor: str = "dbar_f") -> np.ndarray:
-        key = (flavor, degree)
-        if key not in self._kernel:
-            self._kernel[key] = _kernel_basis(
-                self.eigensolve(degree, flavor=flavor))
-        return self._kernel[key]
+    def kernel_matrix(self, degree: int) -> np.ndarray:
+        if degree not in self._kernel:
+            self._kernel[degree] = _kernel_basis(self.eigensolve(degree))
+        return self._kernel[degree]
 
-    def solver(self, degree: int, flavor: str = "dbar_f"):
-        key = (flavor, degree)
-        if key not in self._solve:
-            self._solve[key] = _factor(
-                self.ops.laplacian_matrix(flavor, degree))
-        return self._solve[key]
+    def solver(self, degree: int):
+        if degree not in self._solve:
+            self._solve[degree] = _factor(
+                self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree))
+        return self._solve[degree]
 
-    def green(self, degree: int, b: np.ndarray, flavor: str = "dbar_f",
-              refinements: int = 3) -> np.ndarray:
+    def green(self, degree: int, b: np.ndarray) -> np.ndarray:
         """Solve Laplacian·u = b on the orthogonal complement of the
         kernel (iteratively refined, deflated)."""
-        K = self.kernel_matrix(degree, flavor)
-        M = self.ops.laplacian_matrix(flavor, degree)
-        solve = self.solver(degree, flavor)
+        K = self.kernel_matrix(degree)
+        M = self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree)
+        solve = self.solver(degree)
 
         def deflate(v):
             return v - _project(K, v)
 
         r = deflate(b)
         u = deflate(solve(r))
-        for _ in range(refinements):
+        for _ in range(GREEN_REFINEMENTS):
             resid = deflate(r - _apply(M, u))
             u = deflate(u + solve(resid))
         return u
@@ -344,7 +340,7 @@ class HodgeSplit:
 
 
 def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
-                    backend: str = "fd2", seed: int = 7,
+                    backend: str = "fd2",
                     context: SpectralContext | None = None) -> HodgeSplit:
     """Split a form into harmonic, twisted-exact and twisted-coexact
     parts, degree sector by degree sector.
@@ -359,11 +355,11 @@ def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
     three pieces is therefore a property of the construction, not of a
     discretization limit, and holds to solver precision."""
     ctx = context if context is not None else SpectralContext(
-        f, grid, backend=backend, seed=seed)
+        f, grid, backend=backend)
     grid = ctx.grid
     if form.grid != grid:
         raise PrecondError("form grid does not match the context grid")
-    A0, _ = ctx.ops.sector_matrices("dbar_f")
+    A0, _ = ctx.ops.sector_matrices(CONTEXT_FLAVOR)
     harmonic = DiscreteForm(grid)
     image = DiscreteForm(grid)
     coimage = DiscreteForm(grid)
@@ -409,22 +405,21 @@ class SplittingSeries:
 
 
 def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
-                  orders: int = 5, backend: str = "spectral", seed: int = 7,
-                  precondition_tol: float = 1e-8,
+                  orders: int = 5, backend: str = "spectral",
                   context: SpectralContext | None = None) -> SplittingSeries:
     """Lift a harmonic degree-1 form φ to s(φ) = Σ uᵏ s_k with
     (twisted + u·holomorphic) s(φ) = 0 through the requested order.
 
     Each order solves the positive-definite top-degree Laplacian, so the
     correction s_k is automatically coexact and the recursion is
-    canonical.  Requires φ harmonic to precondition_tol."""
+    canonical.  Requires φ harmonic to ``HARMONIC_TOL``."""
     ctx = context if context is not None else SpectralContext(
-        f, grid, backend=backend, seed=seed)
+        f, grid, backend=backend)
     grid = ctx.grid
     if form.grid != grid:
         raise PrecondError("form grid does not match the context grid")
     ops = ctx.ops
-    A0, A1 = ops.sector_matrices("dbar_f")
+    A0, A1 = ops.sector_matrices(CONTEXT_FLAVOR)
     _, P1 = ops.sector_matrices("partial")
     s0 = form.pack(DEGREE_SECTORS[1])
     scale = sla.norm(s0)
@@ -435,11 +430,11 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
     defect = float(np.sqrt(
         sla.norm(A1 @ s0) ** 2 + sla.norm(A0.conj().T @ s0) ** 2
     ) / scale)
-    if defect > precondition_tol:
+    if defect > HARMONIC_TOL:
         raise PrecondError(
             f"input form is not harmonic (defect {defect:.2e} exceeds "
-            f"{precondition_tol:.2e})")
-    M2 = ops.laplacian_matrix("dbar_f", 2)
+            f"{HARMONIC_TOL:.2e})")
+    M2 = ops.laplacian_matrix(CONTEXT_FLAVOR, 2)
     solve2 = ctx.solver(2)
     coeffs = [s0]
     residuals = [float(sla.norm(A1 @ s0))]
@@ -534,10 +529,13 @@ class CutoffHomotopy:
                 - a + self.localize(a))
 
 
+# cutoff radii as fractions of the half-width, and the seeded probes
+HOMOTOPY_RADII = (0.35, 0.60)
+HOMOTOPY_PROBES = 4
+HOMOTOPY_SEED = 11
+
+
 def homotopy_identity_check(f: Polynomial, grid: Grid,
-                            inner_radius: float | None = None,
-                            outer_radius: float | None = None,
-                            samples: int = 4, seed: int = 11,
                             backend: str = "fd2", levels: int = 2) -> dict:
     """Measure the localization-identity residual on Gaussian probes that
     straddle the cutoff transition, across grid refinements.
@@ -545,14 +543,12 @@ def homotopy_identity_check(f: Polynomial, grid: Grid,
     Returns per-level worst relative residuals and their level-to-level
     ratios (≈ 4 for a second-order scheme), plus the residual on a probe
     supported deep inside the plateau (rounding level)."""
-    R = grid.half_width
-    inner = inner_radius if inner_radius is not None else 0.35 * R
-    outer = outer_radius if outer_radius is not None else 0.60 * R
-    rng = np.random.default_rng(seed)
+    inner, outer = (r * grid.half_width for r in HOMOTOPY_RADII)
+    rng = np.random.default_rng(HOMOTOPY_SEED)
     width = (outer - inner) / 3.0
     mid = 0.5 * (inner + outer)
     probes = []
-    for _ in range(samples):
+    for _ in range(HOMOTOPY_PROBES):
         center = mid * np.exp(2j * np.pi * rng.uniform())
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         probes.append((center, coeffs, width))
@@ -639,11 +635,11 @@ def _reflection_sign(L_f, L_g):
 
 
 _DERHAM_FLAVORS = ("dbar_f", "dbar_f_half", "d_f")
+DERHAM_K = 8  # eigenpairs per degree-1 solve of the comparison
 
 
 def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
-                   k: int = 8, seed: int = 7,
-                   gap_threshold: float = DEFAULT_GAP_THRESHOLD) -> dict:
+                   seed: int = 7) -> dict:
     """Compare degree-1 harmonic spaces of the twisted Dolbeault and the
     twisted de Rham Laplacians.
 
@@ -654,7 +650,8 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     Reported: both kernel dimensions and the largest principal angle
     between the mapped space and the de Rham harmonic space.
 
-    With the one-sided backend, kernels are computed for both stencil
+    Only the one-sided backend ``fd1`` is accepted; any other ``backend``
+    fails the precondition.  Kernels are computed for both stencil
     orientations and averaged: the leading truncation error changes sign
     with the orientation and cancels, and near-kernel artifacts glued to
     a boundary corner by one orientation do not pair with the other, so
@@ -669,40 +666,37 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     fd1 Laplacians are compared; where they agree to rounding the
     eigensolve on g is skipped, and ``reflected_flavors`` names those
     flavors."""
-    symmetrize = backend == "fd1"
-    ops = Operators(grid, f, backend)
+    if backend != "fd1":
+        raise PrecondError(f"derham_compare needs fd1, not {backend!r}")
+    ops = Operators(grid, f, "fd1")
     describes, bases = {}, {}
     for flavor in _DERHAM_FLAVORS:
-        res = eigensolve_lowest(f, grid, degree=1, k=k, backend=backend,
-                                seed=seed, gap_threshold=gap_threshold,
-                                flavor=flavor, operators=ops)
+        res = eigensolve_lowest(f, grid, degree=1, k=DERHAM_K, backend="fd1",
+                                seed=seed, flavor=flavor, operators=ops)
         describes[flavor] = res.describe()
         bases[flavor] = [_kernel_basis(res)]
     phase = np.exp(-1j * ops.f_values.imag).ravel()
     n = grid.points ** 2
     reflected = []
-    if symmetrize:
-        g = _reflected(f)
-        mirror_ops = Operators(grid, g, "fd1")
-        signs = {flavor: _reflection_sign(
-            ops.laplacian_matrix(flavor, 1),
-            mirror_ops.laplacian_matrix(flavor, 1))
-            for flavor in _DERHAM_FLAVORS}
-        del ops  # its matrices are not needed during the solves on g
-        for flavor, sign in signs.items():
-            if sign is None:
-                K = _kernel_basis(eigensolve_lowest(
-                    g, grid, degree=1, k=k, backend="fd1", seed=seed,
-                    gap_threshold=gap_threshold, flavor=flavor,
-                    operators=mirror_ops))
-            else:
-                K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
-                reflected.append(flavor)
-            # Π reverses the flat index of each component
-            bases[flavor].append(
-                K.reshape(2, n, K.shape[1])[:, ::-1].reshape(K.shape))
-    K_dol, K_mid, K_dr = (_paired_subspace(*pair) if symmetrize else pair[0]
-                          for pair in bases.values())
+    g = _reflected(f)
+    mirror_ops = Operators(grid, g, "fd1")
+    signs = {flavor: _reflection_sign(
+        ops.laplacian_matrix(flavor, 1),
+        mirror_ops.laplacian_matrix(flavor, 1))
+        for flavor in _DERHAM_FLAVORS}
+    del ops  # its matrices are not needed during the solves on g
+    for flavor, sign in signs.items():
+        if sign is None:
+            K = _kernel_basis(eigensolve_lowest(
+                g, grid, degree=1, k=DERHAM_K, backend="fd1", seed=seed,
+                flavor=flavor, operators=mirror_ops))
+        else:
+            K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
+            reflected.append(flavor)
+        # Π reverses the flat index of each component
+        bases[flavor].append(
+            K.reshape(2, n, K.shape[1])[:, ::-1].reshape(K.shape))
+    K_dol, K_mid, K_dr = (_paired_subspace(*pair) for pair in bases.values())
 
     halve_dz = np.concatenate([0.5 * np.ones(n), np.ones(n)])
     phase2 = np.concatenate([phase, phase])
@@ -727,12 +721,16 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
 # -- norm probes ---------------------------------------------------------------
 
 
-def norm_probe(f: Polynomial, grid: Grid, form: DiscreteForm, k: int = 2,
+NORM_ORDER = 2  # the order k of the norm probe
+
+
+def norm_probe(f: Polynomial, grid: Grid, form: DiscreteForm,
                backend: str = "fd2") -> dict:
     """Evaluate three graded Sobolev-style norms of order k on one form:
     stacked powers of the twisted Dirac operator; mixed powers of the
     gradient weight and the untwisted Dirac operator; and mixed powers of
     the gradient weight and the flat grid derivatives."""
+    k = NORM_ORDER
     ops = Operators(grid, f, backend)
     g = ops.gradient_norm_field()
 
@@ -778,51 +776,47 @@ def norm_probe(f: Polynomial, grid: Grid, form: DiscreteForm, k: int = 2,
 # -- comparisons and export ----------------------------------------------------
 
 
-def form_distance(a: DiscreteForm, b: DiscreteForm,
-                  phase_free: bool = True) -> float:
+def form_distance(a: DiscreteForm, b: DiscreteForm) -> float:
     """Relative L² distance between unit-normalized forms, minimized over
-    a global phase when phase_free (the natural eigenform comparison)."""
+    a global phase (the natural eigenform comparison)."""
     na, nb = norm(a), norm(b)
     if na == 0 or nb == 0:
         raise PrecondError("cannot compare zero forms")
     overlap = inner(a, b) / (na * nb)
-    if phase_free:
-        return float(np.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap))))
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * overlap.real)))
+    return float(np.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap))))
 
 
 COMPONENT_LABELS = ("1", "dz", "dzbar", "dz^dzbar")
 
 
-def write_eigenvalues_csv(result: SpectralResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue", "residual"])
-        for i, (v, r) in enumerate(zip(result.eigenvalues, result.residuals)):
-            writer.writerow([i, repr(float(v)), repr(float(r))])
+def _csv_text(header: list, rows) -> str:
+    """CSV text with CRLF line ends, the ``csv`` module's default."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue()
 
 
-def write_harmonic_profile_csv(result: SpectralResult, path) -> None:
-    """Ground eigenform sampled over the grid: x, y, component, re, im."""
+def write_eigenvalues_csv(result: SpectralResult) -> str:
+    """CSV text of index, eigenvalue, residual."""
+    return _csv_text(["index", "eigenvalue", "residual"], (
+        [i, repr(float(v)), repr(float(r))]
+        for i, (v, r) in enumerate(zip(result.eigenvalues, result.residuals))))
+
+
+def write_harmonic_profile_csv(result: SpectralResult) -> str:
+    """CSV text of the ground eigenform sampled over the grid: x, y,
+    component, re, im, over the components that are not zero."""
     if not result.eigenforms:
         raise ComputeError("no eigenforms to export")
     form = result.eigenforms[0]
-    g = form.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "component", "re", "im"])
-        for ci in range(4):
-            comp = form.comps[ci]
-            if not np.any(comp):
-                continue
-            label = COMPONENT_LABELS[ci]
-            for ix in range(g.points):
-                for iy in range(g.points):
-                    val = comp[ix, iy]
-                    writer.writerow([repr(float(g.axis[ix])),
-                                     repr(float(g.axis[iy])), label,
-                                     repr(float(val.real)),
-                                     repr(float(val.imag))])
+    axis = form.grid.axis
+    return _csv_text(["x", "y", "component", "re", "im"], (
+        [repr(float(axis[ix])), repr(float(axis[iy])), label,
+         repr(float(comp[ix, iy].real)), repr(float(comp[ix, iy].imag))]
+        for label, comp in zip(COMPONENT_LABELS, form.comps) if np.any(comp)
+        for ix in range(len(axis)) for iy in range(len(axis))))
 
 
 __all__ = [

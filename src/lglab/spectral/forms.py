@@ -21,6 +21,7 @@ from .grid import Grid
 WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 SCALES = (1.0, np.sqrt(2.0), np.sqrt(2.0), 2.0)
 DEGREE_SECTORS = {0: (0,), 1: (1, 2), 2: (3,)}
+SMOOTH_FORM_DECAY = 0.5  # Gaussian envelope exp(−decay·|z|²) of random data
 
 
 class DiscreteForm:
@@ -123,6 +124,20 @@ def hodge_star(a: DiscreteForm) -> DiscreteForm:
     return out
 
 
+def lefschetz(a: DiscreteForm) -> DiscreteForm:
+    """L: the wedge with the Kähler form ⋆1 = (i/2)dz∧dz̄."""
+    out = DiscreteForm(a.grid)
+    out.comps[3] = 0.5j * a.comps[0]
+    return out
+
+
+def lefschetz_adjoint(a: DiscreteForm) -> DiscreteForm:
+    """Λ: the pointwise adjoint of ``lefschetz``."""
+    out = DiscreteForm(a.grid)
+    out.comps[0] = -2j * a.comps[3]
+    return out
+
+
 def conjugate(a: DiscreteForm) -> DiscreteForm:
     """Complex conjugation: swaps dz and dz̄ coefficients, negates top
     (since conj(dz∧dz̄) = dz̄∧dz)."""
@@ -147,12 +162,11 @@ def gaussian_form(grid: Grid, width: float = 1.0, center: complex = 0.0,
     return out
 
 
-def random_smooth_form(grid: Grid, rng, decay: float = 0.5,
-                       sector=None) -> DiscreteForm:
+def random_smooth_form(grid: Grid, rng, sector=None) -> DiscreteForm:
     """Random polynomial-times-Gaussian data on the chosen components."""
     indices = range(4) if sector is None else sector
     z, zb = grid.z, np.conj(grid.z)
-    envelope = np.exp(-decay * np.abs(grid.z) ** 2)
+    envelope = np.exp(-SMOOTH_FORM_DECAY * np.abs(grid.z) ** 2)
     out = DiscreteForm(grid)
     for i in indices:
         field = np.zeros_like(z)

@@ -101,7 +101,6 @@ _FLAVORS = {
     # name: (has_dz, has_dzbar, w1 spec, w2 spec)
     "dbar": (False, True, None, None),
     "partial": (True, False, None, None),
-    "d": (True, True, None, None),
     "df_wedge": (False, False, "fp", None),
     "dbar_f": (False, True, "fp", None),
     "dbar_f_half": (False, True, "fp/2", None),
@@ -158,7 +157,12 @@ class Operators:
 
     # -- first-order operators on forms --------------------------------------
 
+    def _check_grid(self, a: DiscreteForm) -> None:
+        if a.grid != self.grid:
+            raise PrecondError("form grid does not match operator grid")
+
     def diff(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
+        self._check_grid(a)
         A0, A1 = self.sector_matrices(flavor)
         c = a.comps.reshape(4, -1)
         out = np.zeros_like(c)
@@ -168,6 +172,7 @@ class Operators:
 
     def diff_adjoint(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
         """Exact adjoint of diff(flavor) in the weighted inner product."""
+        self._check_grid(a)
         A0, A1 = self.sector_matrices(flavor)
         c = a.comps.reshape(4, -1)
         out = np.zeros_like(c)
@@ -182,29 +187,6 @@ class Operators:
     def laplacian(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
         return (self.diff(flavor, self.diff_adjoint(flavor, a)) +
                 self.diff_adjoint(flavor, self.diff(flavor, a)))
-
-    # -- public dispatcher over named operator kinds --------------------------
-
-    def apply(self, kind: str, a: DiscreteForm) -> DiscreteForm:
-        if a.grid != self.grid:
-            raise PrecondError("form grid does not match operator grid")
-        if kind in _FLAVORS:
-            return self.diff(kind, a)
-        if kind.endswith("_star") and kind[:-5] in _FLAVORS:
-            return self.diff_adjoint(kind[:-5], a)
-        if kind == "laplacian_f":
-            return self.laplacian("dbar_f", a)
-        if kind == "laplacian_2Ref":
-            return self.laplacian("d_2Ref", a)
-        if kind == "L":
-            out = DiscreteForm(self.grid)
-            out.comps[3] = 0.5j * a.comps[0]
-            return out
-        if kind == "Lambda":
-            out = DiscreteForm(self.grid)
-            out.comps[0] = -2j * a.comps[3]
-            return out
-        raise PrecondError(f"unknown operator kind {kind!r}")
 
     # -- contraction homotopy pieces ------------------------------------------
 
@@ -229,6 +211,8 @@ class Operators:
         key = ("sector", flavor)
         if key in self._mat_cache:
             return self._mat_cache[key]
+        if flavor not in _FLAVORS:
+            raise PrecondError(f"unknown operator flavor {flavor!r}")
         if "base" not in self._mat_cache:
             eye = sp.identity(self.grid.points, format="csr")
             DX = sp.kron(self.D, eye, format="csr")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from lglab import groebner
-from lglab.cli import UsageError, _check_truncated_arithmetic, main, parse_config
+from lglab.cli import (UsageError, _check_truncated_arithmetic,
+                       execute_command, main, parse_config)
 from lglab.poly import Polynomial
 
 
@@ -144,6 +145,36 @@ def test_socle_less_pairing_fails_the_precondition(capsys):
     assert "one-dimensional socle" in err and "Traceback" not in err
 
 
+def _usage_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert err.startswith("usage error:")
+    return err
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.cfg"
+    assert main(["analyze", "z^2", "--config", str(missing)]) == 2
+    assert str(missing) in _usage_error_line(capsys)
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes("f = z\xe9\n".encode("latin-1"))
+    assert main(["analyze", "--config", str(latin)]) == 2
+    assert str(latin) in _usage_error_line(capsys)
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["analyze", "z^2", "--out", str(out)]) == 2
+    assert str(out) in _usage_error_line(capsys)
+
+
+def test_plot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["analyze", "z^2", "--plot-dir", str(taken)]) == 2
+    assert str(taken) in _usage_error_line(capsys)
+
+
 @pytest.mark.parametrize("points", ["16", "34", "15"])
 def test_bad_grid_is_a_usage_error(points, capsys):
     assert main(["spectrum", "z^2/2", "--grid", points]) == 2
@@ -213,12 +244,21 @@ def test_spectrum_exports_tables_and_kernel_count(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["spectrum", "z^2/2", "--grid", "33",
                  "--out", str(out), "--plot-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["results"]["kernel_dim"] == 1
     assert report["results"]["reliable"] is True
-    assert (tmp_path / "eigenvalues.csv").exists()
-    assert (tmp_path / "harmonic_profile.csv").exists()
+    for name in ("eigenvalues.csv", "harmonic_profile.csv"):
+        assert f"plot data written to {tmp_path / name}" in printed
+        assert (tmp_path / name).read_bytes().endswith(b"\r\n")
+
+
+def test_spectrum_puts_its_tables_into_the_report(tmp_path):
+    plots = tmp_path / "plots"
+    report = execute_command(parse_config(
+        ["spectrum", "z^2/2", "--grid", "33", "--plot-dir", str(plots)]))
+    assert sorted(report.tables) == ["eigenvalues.csv", "harmonic_profile.csv"]
+    assert not plots.exists()  # emit_report alone writes files
 
 
 def test_verify_runs_the_whole_checklist(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Grid, discrete forms, twisted operators, spectra, Hodge pieces, homotopy."""
 
 import csv
+import io
 import json
 import random
 import time
@@ -51,6 +52,8 @@ from lglab.spectral.forms import (
     conjugate,
     gaussian_form,
     hodge_star,
+    lefschetz,
+    lefschetz_adjoint,
     random_smooth_form,
 )
 from lglab.spectral.operators import (
@@ -342,7 +345,7 @@ def test_twisted_laplacian_is_half_the_full_real_twist_laplacian_in_the_limit():
         grid = build_grid(4.0, m)
         ops = Operators(grid, F2, "fd2")
         a = random_smooth_form(grid, random.Random(11))
-        d = ops.apply("laplacian_f", a) - ops.apply("laplacian_2Ref", a) * 0.5
+        d = ops.laplacian("dbar_f", a) - ops.laplacian("d_2Ref", a) * 0.5
         defects.append(norm(d) / norm(a))
     assert defects[1] <= 2.5e-2
     assert 3.2 <= defects[0] / defects[1] <= 4.6
@@ -360,7 +363,7 @@ def test_laplacian_annihilates_the_quadratic_ground_profile_at_second_order():
             phi = DiscreteForm(grid)
             phi.comps[1] = prof
             phi.comps[2] = -prof
-            rels[m, width] = norm(ops.apply("laplacian_f", phi)) / norm(phi)
+            rels[m, width] = norm(ops.laplacian("dbar_f", phi)) / norm(phi)
     assert 3.0 <= rels[33, 1.0] / rels[65, 1.0] <= 4.6
     assert rels[65, 1.0] < 3e-2
     assert rels[65, 2.0] > 1.0
@@ -380,11 +383,10 @@ def test_centered_derivative_converges_at_second_order():
 def test_lefschetz_pair_is_adjoint():
     grid = build_grid(3.0, 21)
     rng = random.Random(5)
-    ops = Operators(grid, F2, "fd2")
     a = random_smooth_form(grid, rng)
     b = random_smooth_form(grid, rng)
-    lhs = inner(ops.apply("L", a), b)
-    rhs = inner(a, ops.apply("Lambda", b))
+    lhs = inner(lefschetz(a), b)
+    rhs = inner(a, lefschetz_adjoint(b))
     assert abs(lhs - rhs) <= 1e-13 * norm(a) * norm(b)
 
 
@@ -417,10 +419,12 @@ def test_operators_reject_unsupported_inputs():
     with pytest.raises(PrecondError):
         Operators(grid, parse_polynomial("z+z^-1", ("z",), laurent=True), "fd2")
     ops = Operators(grid, F2, "fd2")
-    with pytest.raises(PrecondError):
-        ops.apply("no_such_operator", gaussian_form(grid))
-    with pytest.raises(PrecondError):
-        ops.apply("dbar_f", gaussian_form(build_grid(3.0, 21)))
+    stray = gaussian_form(build_grid(3.0, 21))
+    for apply in (ops.diff, ops.diff_adjoint):
+        with pytest.raises(PrecondError):
+            apply("no_such_flavor", gaussian_form(grid))
+        with pytest.raises(PrecondError):
+            apply("dbar_f", stray)
 
 
 # -- eigensolves ----------------------------------------------------------------
@@ -794,6 +798,13 @@ def test_kernel_dimensions_and_alignment_match_the_full_twist():
     assert report["max_angle_degrees"] <= 2.0
 
 
+@pytest.mark.parametrize("backend", ["fd2", "spectral", "fd9"])
+def test_derham_compare_refuses_other_backends(backend):
+    # only the one-sided stencil has the two orientations to average
+    with pytest.raises(PrecondError, match="fd1"):
+        derham_compare(F2, build_grid(4.0, 33), backend=backend)
+
+
 def _potential(coeffs):
     """Σ c·zᵏ for a {k: c} dict whose c may be complex: the grid harness
     samples every coefficient through complex(), so the dict is wrapped
@@ -935,44 +946,41 @@ def test_norm_probe_ratios_stay_bounded_on_gaussian_probes():
     grid = build_grid(4.0, 65)
     for width in (0.7, 1.0, 1.6):
         probe = gaussian_form(grid, width=width, components=(1, 2))
-        out = norm_probe(F2, grid, probe, k=2, backend="fd1")
+        out = norm_probe(F2, grid, probe, backend="fd1")
         assert out["max_ratio"] <= 10.0
 
 
 def test_norm_probe_rejects_the_zero_form():
     grid = build_grid(4.0, 33)
     with pytest.raises(ComputeError):
-        norm_probe(F2, grid, DiscreteForm(grid), k=2, backend="fd1")
+        norm_probe(F2, grid, DiscreteForm(grid), backend="fd1")
 
 
 # -- exports --------------------------------------------------------------------------
 
 
-def test_eigenvalue_csv_round_trips(tmp_path):
+def test_eigenvalue_csv_round_trips():
     grid = build_grid(4.0, 33)
     res = eigensolve_lowest(F2, grid, degree=1, k=4, backend="fd1")
-    path = tmp_path / "eigenvalues.csv"
-    write_eigenvalues_csv(res, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    text = write_eigenvalues_csv(res)
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows[0] == ["index", "eigenvalue", "residual"]
     assert len(rows) == 1 + len(res.eigenvalues)
     assert [float(r[1]) for r in rows[1:]] == res.eigenvalues
 
 
-def test_harmonic_profile_csv_lists_grid_samples(tmp_path):
+def test_harmonic_profile_csv_lists_grid_samples():
     grid = build_grid(4.0, 33)
     res = eigensolve_lowest(F2, grid, degree=1, k=4, backend="fd1")
-    path = tmp_path / "harmonic_profile.csv"
-    write_harmonic_profile_csv(res, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(write_harmonic_profile_csv(res),
+                                       newline="")))
     assert rows[0] == ["x", "y", "component", "re", "im"]
     assert len(rows) == 1 + 2 * 33 * 33  # two populated 1-form components
     assert {r[2] for r in rows[1:]} == {"dz", "dzbar"}
 
 
-def test_harmonic_profile_csv_requires_an_eigenform(tmp_path):
+def test_harmonic_profile_csv_requires_an_eigenform():
     grid = build_grid(4.0, 33)
     empty = SpectralResult(
         f_text="z^2/2", flavor="dbar_f", degree=1, backend="fd1",
@@ -980,4 +988,4 @@ def test_harmonic_profile_csv_requires_an_eigenform(tmp_path):
         eigenvalues=[], residuals=[], kernel_dim=0, gap=None,
         certified=False, reliable=False, notes=[], eigenforms=[])
     with pytest.raises(ComputeError):
-        write_harmonic_profile_csv(empty, tmp_path / "profile.csv")
+        write_harmonic_profile_csv(empty)
