@@ -218,6 +218,14 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("grid needs an odd point count of at least 17 per axis")
     if cfg.radius <= 0:
         raise UsageError("grid half-width must be positive")
+    # refuse output paths that cannot be written before computing anything;
+    # ``emit_report`` still turns any later write failure into a UsageError
+    if cfg.out and not Path(cfg.out).parent.is_dir():
+        raise UsageError(f"cannot write {cfg.out}: no directory "
+                         f"{Path(cfg.out).parent}")
+    plot_dir = Path(cfg.plot_dir) if cfg.plot_dir else None
+    if plot_dir is not None and plot_dir.exists() and not plot_dir.is_dir():
+        raise UsageError(f"cannot write into {cfg.plot_dir}: not a directory")
     return cfg
 
 

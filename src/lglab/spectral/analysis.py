@@ -23,6 +23,14 @@ together; minimum degree with partial pivoting factors several times
 slower.  All randomness is seeded, and eigenvector phases are
 normalized, so repeated runs give identical output.
 
+Degree 2 is degree 0 under the point reflection Π: z → −z.  Every
+backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π) (see ``operators``), and
+L₀[f(−z)] = L₀[f] where |f′| is centrally symmetric.  A
+``SpectralContext`` checks that symmetry once; where it holds, degrees 0
+and 2 share one factorization, and degree 2 takes degree 0's spectrum
+and kernel through x ↦ conj(Π·x).  Otherwise (f of neither parity)
+degree 2 is solved on its own.
+
 Dense linear algebra here (QR, Hermitian eigensolves, norms, products
 of tall blocks and of the dense Laplacian) goes through ``scipy.linalg``
 and its BLAS, not ``np.linalg`` or NumPy's ``@``.  NumPy and SciPy ship
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,6 +67,7 @@ SHIFT = 1e-6  # every factorization is of M + SHIFT·I
 CONTEXT_FLAVOR = "dbar_f"  # the Laplacian a SpectralContext serves
 GREEN_REFINEMENTS = 3  # iterative-refinement passes of a Green solve
 HARMONIC_TOL = 1e-8  # harmonic defect a splitting-map input may have
+ROUNDING_TOL = 1e-12  # max-norm relative distance that counts as rounding
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -86,6 +95,11 @@ def _apply(M, X: np.ndarray) -> np.ndarray:
         return M @ X
     # a C-ordered M goes in as its (Fortran-ordered) transpose: no copy
     return _gemm(M, X) if M.flags.f_contiguous else _gemm(M.T, X, trans=1)
+
+
+def _equal_to_rounding(A, B) -> bool:
+    """max|A − B| ≤ ``ROUNDING_TOL``·max|B|, for sparse or dense A, B."""
+    return abs(A - B).max() <= ROUNDING_TOL * abs(B).max()
 
 
 def _project(K: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -118,8 +132,9 @@ def _factor(M):
     return lambda b: sla.lu_solve(lu, b)
 
 
-def _lowest_pairs(M, k: int, seed: int):
-    """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending).
+def _lowest_pairs(M, solve, k: int, seed: int):
+    """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending),
+    with ``solve`` the ``_factor`` solver of M.
 
     Returns (vals, vecs, residuals, wanted): ``wanted`` is k clamped to the
     matrix size; fewer than ``wanted`` pairs come back when ARPACK stops
@@ -129,8 +144,7 @@ def _lowest_pairs(M, k: int, seed: int):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # the factor is handed over as OPinv so ARPACK never copies M itself
-    OPinv = spla.LinearOperator(M.shape, matvec=_factor(M),
-                                dtype=complex)
+    OPinv = spla.LinearOperator(M.shape, matvec=solve, dtype=complex)
     try:
         vals, vecs = spla.eigsh(M, k=k, sigma=-SHIFT, which="LM", v0=v0,
                                 tol=1e-12, maxiter=1000, OPinv=OPinv)
@@ -224,12 +238,25 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
     A constant f has no critical points to confine a kernel, so it fails
     the precondition before anything is assembled; f=None is the untwisted
     Laplacian, solved and flagged unreliable."""
+    _require_twist(f)
+    ops = operators if operators is not None else Operators(grid, f, backend)
+    M = ops.laplacian_matrix(flavor, degree)
+    return _spectrum(ops, flavor, degree, k, seed, gap_threshold, _factor(M))
+
+
+def _require_twist(f: Polynomial | None) -> None:
     if f is not None and all(g.is_zero() for g in f.gradient()):
         raise PrecondError("f is constant: the twist vanishes and nothing "
                            "confines the kernel")
-    ops = operators if operators is not None else Operators(grid, f, backend)
+
+
+def _spectrum(ops: Operators, flavor: str, degree: int, k: int, seed: int,
+              gap_threshold: float, solve) -> SpectralResult:
+    """``eigensolve_lowest`` on built operators, with ``solve`` the
+    ``_factor`` solver of the Laplacian."""
     M = ops.laplacian_matrix(flavor, degree)
-    vals, vecs, res, wanted = _lowest_pairs(M, k, seed)
+    vals, vecs, res, wanted = _lowest_pairs(M, solve, k, seed)
+    del solve  # a factor made for this solve alone is freed here
     vals_list = [float(v) for v in vals]
     notes: list[str] = []
 
@@ -263,20 +290,44 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                      "no confinement, kernel count is not meaningful")
     reliable = certified and not flat
 
+    grid = ops.grid
     forms = [DiscreteForm.unpack(grid, DEGREE_SECTORS[degree], v)
              for v in vecs.T]
     return SpectralResult(
-        f_text="0" if f is None else str(f), flavor=flavor, degree=degree,
-        backend=backend, half_width=grid.half_width, points=grid.points,
-        gap_threshold=gap_threshold, eigenvalues=vals_list, residuals=res,
-        kernel_dim=kernel_dim, gap=gap, certified=certified,
-        reliable=reliable, notes=notes, eigenforms=forms)
+        f_text="0" if ops.f is None else str(ops.f), flavor=flavor,
+        degree=degree, backend=ops.backend, half_width=grid.half_width,
+        points=grid.points, gap_threshold=gap_threshold,
+        eigenvalues=vals_list, residuals=res, kernel_dim=kernel_dim, gap=gap,
+        certified=certified, reliable=reliable, notes=notes, eigenforms=forms)
+
+
+def _reflect(x):
+    """conj(Π·x) for flat vectors (or their columns) of a one-component
+    sector, Π the point reflection z → −z: it reverses the flat index.
+    The map is its own inverse."""
+    return np.conj(x[::-1])
 
 
 class SpectralContext:
     """Caches matrices, factorizations, eigensolves and kernel bases of
     the ``CONTEXT_FLAVOR`` Laplacian for one (f, grid, backend), per
-    degree, so repeated decompositions stay cheap."""
+    degree, so repeated decompositions stay cheap.
+
+    Degrees 0 and 2 share one factorization where they can.  Every
+    backend has P·D·P = Dᵀ (see ``operators``), so L₂[f] =
+    conj(Π·L₀[f(−z)]·Π) with Π the point reflection z → −z.  The twist
+    enters both Laplacians only as the diagonal 2|f′|², so L₀[f(−z)] =
+    L₀[f] exactly when |f′|² is centrally symmetric on the grid (every f
+    that is even or odd).  The context checks that once, on the sampled
+    field.  Where it holds to rounding, whichever of degrees 0 and 2 is
+    factored first serves the other under x ↦ conj(Π·x), and degree 2
+    is never solved on its own: its spectrum and kernel are those of
+    degree 0, reflected, with degree 0's eigenvalues, residuals and
+    certification.  Otherwise (f of neither parity) degree 2 is solved
+    directly.  The eigensolves in degrees 0 and 2 run through the cached
+    factors, so a Green solve after them factors nothing; the degree-1
+    factor is made per eigensolve and dropped, since keeping it costs
+    more memory than the one later factorization it would save."""
 
     def __init__(self, f: Polynomial | None, grid: Grid,
                  backend: str = "fd2", seed: int = 7):
@@ -288,26 +339,51 @@ class SpectralContext:
         self._eig: dict = {}
         self._solve: dict = {}
         self._kernel: dict = {}
+        # L₂ = conj(Π·L₀·Π): |f′|² equals its point reflection
+        weight = np.abs(self.ops.fp) ** 2
+        self._mirrored = _equal_to_rounding(weight[::-1, ::-1], weight)
 
     def eigensolve(self, degree: int, k: int = 8) -> SpectralResult:
         cached = self._eig.get(degree)
         size = len(DEGREE_SECTORS[degree]) * self.grid.points ** 2
         if cached is not None and len(cached.eigenvalues) >= min(k, size - 2):
             return cached
-        self._eig[degree] = eigensolve_lowest(
-            self.f, self.grid, degree=degree, k=k, backend=self.backend,
-            seed=self.seed, operators=self.ops)
-        return self._eig[degree]
+        _require_twist(self.f)
+        if degree == 2 and self._mirrored:
+            res = self.eigensolve(0, k)
+            result = replace(
+                res, degree=2, eigenvalues=list(res.eigenvalues),
+                residuals=list(res.residuals), notes=list(res.notes),
+                eigenforms=[DiscreteForm.unpack(
+                    self.grid, DEGREE_SECTORS[2],
+                    _reflect(form.pack(DEGREE_SECTORS[0])))
+                    for form in res.eigenforms])
+        else:
+            result = _spectrum(
+                self.ops, CONTEXT_FLAVOR, degree, k, self.seed,
+                DEFAULT_GAP_THRESHOLD,
+                _factor(self.ops.laplacian_matrix(CONTEXT_FLAVOR, 1))
+                if degree == 1 else self.solver(degree))
+        self._eig[degree] = result
+        return result
 
     def kernel_matrix(self, degree: int) -> np.ndarray:
         if degree not in self._kernel:
-            self._kernel[degree] = _kernel_basis(self.eigensolve(degree))
+            if degree == 2 and self._mirrored:
+                self._kernel[2] = _reflect(self.kernel_matrix(0))
+            else:
+                self._kernel[degree] = _kernel_basis(self.eigensolve(degree))
         return self._kernel[degree]
 
     def solver(self, degree: int):
         if degree not in self._solve:
-            self._solve[degree] = _factor(
-                self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree))
+            twin = (self._solve.get(2 - degree)
+                    if self._mirrored and degree != 1 else None)
+            if twin is not None:
+                self._solve[degree] = lambda b: _reflect(twin(_reflect(b)))
+            else:
+                self._solve[degree] = _factor(
+                    self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree))
         return self._solve[degree]
 
     def green(self, degree: int, b: np.ndarray) -> np.ndarray:
@@ -510,23 +586,36 @@ class CutoffHomotopy:
         b = self.ops.diff("dbar", V(a)) + V(self.ops.diff("dbar", a))
         return a - b
 
-    def tail(self, a: DiscreteForm) -> DiscreteForm:
-        """R: degree-lowering correction supported off the plateau."""
-        Vpsi = self.ops.gradient_contraction(self._corrected(a))
+    def _contracted(self, a: DiscreteForm) -> DiscreteForm:
+        """V(ψ), the contraction both R and T of ``a`` are built from."""
+        return self.ops.gradient_contraction(self._corrected(a))
+
+    def _tail(self, Vpsi: DiscreteForm) -> DiscreteForm:
         return Vpsi.multiply_pointwise(1.0 - self.rho)
 
-    def localize(self, a: DiscreteForm) -> DiscreteForm:
-        """T: the localized remainder (cutoff multiple plus transition)."""
-        Vpsi = self.ops.gradient_contraction(self._corrected(a))
+    def _localize(self, a: DiscreteForm, Vpsi: DiscreteForm) -> DiscreteForm:
         out = a.multiply_pointwise(self.rho)
         out.comps[2] = out.comps[2] + self.q * Vpsi.comps[0]
         out.comps[3] = out.comps[3] - self.q * Vpsi.comps[1]
         return out
 
+    def tail(self, a: DiscreteForm) -> DiscreteForm:
+        """R: degree-lowering correction supported off the plateau."""
+        return self._tail(self._contracted(a))
+
+    def localize(self, a: DiscreteForm) -> DiscreteForm:
+        """T: the localized remainder (cutoff multiple plus transition)."""
+        return self._localize(a, self._contracted(a))
+
     def identity_residual(self, a: DiscreteForm) -> DiscreteForm:
         d = self.ops.diff
-        return (d("dbar_f", self.tail(a)) + self.tail(d("dbar_f", a))
-                - a + self.localize(a))
+        # R of the differential first, and V(ψ) dropped early: no more
+        # grid-sized forms are alive at once than with V(ψ) computed twice
+        Rda = self.tail(d("dbar_f", a))
+        Vpsi = self._contracted(a)
+        Ra, Ta = self._tail(Vpsi), self._localize(a, Vpsi)
+        del Vpsi
+        return d("dbar_f", Ra) + Rda - a + Ta
 
 
 # cutoff radii as fractions of the half-width, and the seeded probes
@@ -626,10 +715,9 @@ def _reflection_sign(L_f, L_g):
     sector, of f and of f(−z), and S = diag(``sign`` on the dz block, 1
     on dz̄)."""
     n = L_f.shape[0] // 2
-    tol = 1e-12 * abs(L_g).max()
     for sign in (1.0, -1.0):
         S = sp.diags(np.repeat([sign, 1.0], n))
-        if abs(L_g - S @ L_f @ S).max() <= tol:
+        if _equal_to_rounding(S @ L_f @ S, L_g):
             return sign
     return None
 

@@ -21,6 +21,12 @@ Derivative backends:
     off-diagonal entry set.  Appropriate only for data that decays well
     inside the box; used where residuals must reach the 1e-8 scale.
 
+All three derivative matrices are Toeplitz, so P·D·P = Dᵀ with P the
+reversal of one axis.  With Π = P⊗P the point reflection z → −z,
+Π·Dz̄·Π = Dz̄ᵀ, and the degree-2 ``dbar_f`` Laplacian of f is
+conj(Π·L₀·Π), L₀ the degree-0 one of f(−z) (``analysis.SpectralContext``
+uses this).
+
 Every degree-raising operator used here is given by one block spec in
 ``_FLAVORS``, read as four component blocks:
 

@@ -175,6 +175,21 @@ def test_plot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     assert str(taken) in _usage_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--out", "--plot-dir"])
+def test_unwritable_output_is_refused_before_any_computation(flag, tmp_path,
+                                                             capsys):
+    # a 129² spectrum takes seconds; the path check must come first
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = tmp_path / "missing" / "r.json" if flag == "--out" else taken
+    start = time.perf_counter()
+    assert main(["spectrum", "z^3/3", "--grid", "129", flag, str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: cannot write") and str(path) in err
+
+
 @pytest.mark.parametrize("points", ["16", "34", "15"])
 def test_bad_grid_is_a_usage_error(points, capsys):
     assert main(["spectrum", "z^2/2", "--grid", points]) == 2

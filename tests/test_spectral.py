@@ -43,6 +43,7 @@ from lglab.spectral import analysis, operators
 from lglab.spectral.analysis import (
     _DERHAM_FLAVORS,
     SHIFT,
+    _equal_to_rounding,
     _factor,
     _reflected,
     _reflection_sign,
@@ -597,6 +598,109 @@ def test_context_caches_kernels_solvers_and_spectra():
     assert ctx.eigensolve(1, k=4) is ctx.eigensolve(1, k=4)
 
 
+PARITY_TEXTS = ("z^2/2", "z^3/3", "z^4/4")
+MIXED_TEXT = "z^3/3+z^2/2"  # neither even nor odd
+
+
+def _point_reflect(M):
+    """conj(Π·M·Π), Π the reversal of the flat index (z → −z)."""
+    return M[::-1, ::-1].conj()
+
+
+@pytest.mark.parametrize("backend", sorted(operators._DERIVATIVES))
+@pytest.mark.parametrize("text", PARITY_TEXTS + (MIXED_TEXT,))
+def test_degree2_laplacian_is_the_reflected_degree0_one_of_f_at_minus_z(
+        backend, text):
+    # P·D·P = Dᵀ on every backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π); where
+    # |f′| is centrally symmetric L₀[f(−z)] = L₀[f] as well, and the
+    # context's check of that symmetry decides the same as the matrices
+    f = Pz(text)
+    grid = build_grid(4.0, 21)
+    ctx = SpectralContext(f, grid, backend=backend)
+    mirror = Operators(grid, _reflected(f), backend)
+    L2 = ctx.ops.laplacian_matrix("dbar_f", 2)
+    assert _equal_to_rounding(
+        _point_reflect(mirror.laplacian_matrix("dbar_f", 0)), L2)
+    mirrored = _equal_to_rounding(
+        _point_reflect(ctx.ops.laplacian_matrix("dbar_f", 0)), L2)
+    assert mirrored == ctx._mirrored == (text != MIXED_TEXT)
+
+
+def _count_factors_and_arpack_runs(monkeypatch) -> dict:
+    calls = {"factor": 0, "arpack": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_factor", counted("factor", _factor))
+    monkeypatch.setattr(analysis, "_lowest_pairs",
+                        counted("arpack", analysis._lowest_pairs))
+    return calls
+
+
+@pytest.mark.parametrize("text,factors", [("z^3/3", 2), (MIXED_TEXT, 3)])
+def test_context_factors_degrees_0_and_2_once(text, factors, monkeypatch):
+    # one factorization and one ARPACK run per degree that is solved; a
+    # parity f solves degree 2 as the reflection of degree 0
+    calls = _count_factors_and_arpack_runs(monkeypatch)
+    grid = build_grid(4.0, 33)
+    ctx = SpectralContext(Pz(text), grid, backend="fd1")
+    for degree in (0, 1, 2):
+        ctx.kernel_matrix(degree)
+    ctx.solver(0)
+    ctx.solver(2)
+    rng = np.random.default_rng(5)
+    for degree in (0, 2):
+        b = rng.standard_normal(33 ** 2) + 1j * rng.standard_normal(33 ** 2)
+        u = ctx.green(degree, b)
+        K = ctx.kernel_matrix(degree)
+        r = b - K @ (K.conj().T @ b) - ctx.ops.laplacian_matrix(
+            "dbar_f", degree) @ u
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+    assert calls == {"factor": factors, "arpack": factors}
+
+
+def test_a_degree2_factor_made_first_serves_degree0(monkeypatch):
+    # ``splitting_map`` asks for the degree-2 solver alone; on a parity f
+    # the degree-0 eigensolve then runs through that factor, reflected
+    calls = _count_factors_and_arpack_runs(monkeypatch)
+    ctx = SpectralContext(F3, build_grid(4.0, 33), backend="fd1")
+    ctx.solver(2)
+    res = ctx.eigensolve(0)
+    assert calls == {"factor": 1, "arpack": 1}
+    assert res.certified and max(res.residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("backend", ["fd1", "spectral"])
+@pytest.mark.parametrize("text", PARITY_TEXTS)
+def test_reflected_degree2_spectrum_matches_a_direct_solve(backend, text):
+    f = Pz(text)
+    grid = build_grid(4.0, 33 if backend == "fd1" else 25)
+    ctx = SpectralContext(f, grid, backend=backend)
+    res = ctx.eigensolve(2)
+    assert res.degree == 2 and ctx.eigensolve(0).degree == 0
+    direct = eigensolve_lowest(f, grid, degree=2, backend=backend)
+    assert len(res.eigenvalues) == len(direct.eigenvalues)
+    top = direct.eigenvalues[-1]
+    assert np.max(np.abs(np.subtract(res.eigenvalues, direct.eigenvalues))
+                  ) <= 1e-10 * top
+    assert res.kernel_dim == direct.kernel_dim
+    assert res.certified == direct.certified
+    # each reflected eigenform is an eigenform of the assembled L₂, with
+    # the reported (degree-0) residual; the dense spectral matrices reach
+    # 6.6e4, and there a direct solve's residuals are 2.4e-9 as well
+    M = ctx.ops.laplacian_matrix("dbar_f", 2)
+    for lam, form, reported in zip(res.eigenvalues, res.eigenforms,
+                                   res.residuals):
+        v = form.pack(DEGREE_SECTORS[2])
+        actual = np.linalg.norm(M @ v - lam * v)
+        assert abs(actual - reported) <= 1e-10
+        assert actual <= 1e-10 or backend == "spectral"
+
+
 # -- Hodge decomposition ----------------------------------------------------------
 
 
@@ -786,6 +890,19 @@ def test_homotopy_identity_residual_shrinks_at_second_order():
                                      backend="fd2")
     assert 3.0 <= report["ratios"][0] <= 4.6
     assert report["interior_residual"] <= 1e-12
+
+
+def test_homotopy_check_computes_the_same_report_as_before():
+    # the probe's contraction is shared by R and T; the report is unchanged
+    # to the last bit
+    report = homotopy_identity_check(F2, build_grid(4.0, 65), levels=3)
+    assert report == {
+        "inner_radius": 1.4, "outer_radius": 2.4,
+        "grid_points": [65, 129, 257],
+        "residuals": [0.03644724231546966, 0.009900339297219521,
+                      0.0025293722183651894],
+        "ratios": [3.6814134567797847, 3.9141488252837746],
+        "interior_residual": 4.0684035816230584e-19}
 
 
 # -- comparison with the full twisted exterior derivative ---------------------------
