@@ -325,7 +325,8 @@ class BrieskornLattice:
         self.mu = self.ring.mu
         self._units = [tuple(Fraction(1) if i == p else Fraction(0)
                              for i in range(self.mu)) for p in range(self.mu)]
-        self._pair_table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # residue series per product monomial: many basis pairs share one
+        self._pair_table: dict[Monomial, dict[int, Fraction]] = {}
 
     # -- reduction --------------------------------------------------------
 
@@ -412,11 +413,10 @@ class BrieskornLattice:
         is mu / h (h the socle coefficient of the Hessian), so each u-power
         contributes its socle coordinate times mu / h."""
         sigma = self.ring.socle_index()
-        key = (min(p, q), max(p, q))
+        key = tuple(a + b for a, b in zip(self.ring.basis[p],
+                                          self.ring.basis[q]))
         if key not in self._pair_table:
-            names = self.f.names
-            prod = Polynomial.monomial(self.ring.basis[key[0]], 1, names) * \
-                Polynomial.monomial(self.ring.basis[key[1]], 1, names)
+            prod = Polynomial.monomial(key, 1, self.f.names)
             red = self.reduce(prod, self.order + 2)
             self._pair_table[key] = {k: vec[sigma] * self.ring.residue_scale
                                      for k, vec in red.coords.items() if vec[sigma]}

@@ -18,6 +18,7 @@ ComputeError after MAX_S_PAIRS reductions rather than run for minutes.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -30,9 +31,11 @@ from .util import ComputeError, PrecondError
 # -- the monomial order -------------------------------------------------------
 
 
+@functools.cache
 def grevlex_key(m: Monomial) -> tuple:
     """Sort key of the graded reverse lexicographic order, the one order
-    used throughout: a larger key is a larger monomial."""
+    used throughout: a larger key is a larger monomial.  Computed once per
+    monomial; divisions and pair queues share their monomials."""
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
@@ -71,10 +74,8 @@ def divide(g: Polynomial, divisors: list[Polynomial]) -> tuple[list[Polynomial],
     quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     rem: dict[Monomial, Fraction] = {}
     work = dict(g.coeffs)
-    # each monomial's order key is computed once, when it first enters work
-    keys = {m: grevlex_key(m) for m in work}
     while work:
-        m = max(work, key=keys.__getitem__)
+        m = max(work, key=grevlex_key)
         c = work.pop(m)
         for k, (lm, lc) in enumerate(lts):
             if _divides(lm, m):
@@ -87,8 +88,6 @@ def divide(g: Polynomial, divisors: list[Polynomial]) -> tuple[list[Polynomial],
                         continue  # the leading term cancels by construction
                     nv = work.get(mm, 0) - factor * dc
                     if nv:
-                        if mm not in keys:
-                            keys[mm] = grevlex_key(mm)
                         work[mm] = nv
                     else:
                         del work[mm]

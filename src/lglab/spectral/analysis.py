@@ -13,14 +13,15 @@ Eigenproblems are matrix problems on the scaled flat vectors of
 product, so an ordinary Hermitian eigensolve is the right tool.  Every
 backend uses the same shift-invert ARPACK call followed by one
 Rayleigh–Ritz pass; only the factorization behind the shift-invert
-(``_factor``) differs, SuperLU for the sparse finite-difference
-matrices and LAPACK LU for the dense ``spectral`` one.  SuperLU runs in
-symmetric mode: minimum-degree ordering of A+Aᵀ with diagonal pivots,
-which is safe because every factored matrix is Hermitian PSD plus a
-positive shift, and which fills about a third less than the default
-unsymmetric ordering.  The ordering and the pivot rule must be set
-together; minimum degree with partial pivoting factors several times
-slower.  All randomness is seeded, and eigenvector phases are
+(``_factor``) differs, SuperLU for the finite-difference backends and
+LAPACK LU of a dense copy for the ``spectral`` one.  Every Laplacian is
+held as CSR, so every product with one is a sparse product.  SuperLU
+runs in symmetric mode: minimum-degree ordering of A+Aᵀ with diagonal
+pivots, which is safe because every factored matrix is Hermitian PSD
+plus a positive shift, and which fills about a third less than the
+default unsymmetric ordering.  The ordering and the pivot rule must be
+set together; minimum degree with partial pivoting factors several
+times slower.  All randomness is seeded, and eigenvector phases are
 normalized, so repeated runs give identical output.
 
 Degree 2 is degree 0 under the point reflection Π: z → −z.  Every
@@ -32,12 +33,12 @@ and kernel through x ↦ conj(Π·x).  Otherwise (f of neither parity)
 degree 2 is solved on its own.
 
 Dense linear algebra here (QR, Hermitian eigensolves, norms, products
-of tall blocks and of the dense Laplacian) goes through ``scipy.linalg``
-and its BLAS, not ``np.linalg`` or NumPy's ``@``.  NumPy and SciPy ship
-separate OpenBLAS builds with separate thread pools, and SuperLU and
-ARPACK run on SciPy's.  A threaded NumPy call leaves NumPy's worker
-spinning afterwards, and the next factorization shares the cores with
-it: on two cores an fd1 65² factor took 0.16 s instead of 0.09 s right
+of tall blocks) goes through ``scipy.linalg`` and its BLAS, not
+``np.linalg`` or NumPy's ``@``.  NumPy and SciPy ship separate
+OpenBLAS builds with separate thread pools, and SuperLU and ARPACK run
+on SciPy's.  A threaded NumPy call leaves NumPy's worker spinning
+afterwards, and the next factorization shares the cores with it: on
+two cores an fd1 65² factor took 0.16 s instead of 0.09 s right
 after one ``np.linalg.qr`` of an 8450×8 block.  Products with a k × k
 result are too small to be threaded and stay on NumPy.
 """
@@ -89,14 +90,6 @@ def _gemm(A: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
     return C[:, 0] if B.ndim == 1 else C
 
 
-def _apply(M, X: np.ndarray) -> np.ndarray:
-    """M @ X for a Laplacian in either format (see ``_factor``)."""
-    if sp.issparse(M):
-        return M @ X
-    # a C-ordered M goes in as its (Fortran-ordered) transpose: no copy
-    return _gemm(M, X) if M.flags.f_contiguous else _gemm(M.T, X, trans=1)
-
-
 def _equal_to_rounding(A, B) -> bool:
     """max|A − B| ≤ ``ROUNDING_TOL``·max|B|, for sparse or dense A, B."""
     return abs(A - B).max() <= ROUNDING_TOL * abs(B).max()
@@ -107,10 +100,13 @@ def _project(K: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _gemm(K, _gemm(K, X, trans=2))
 
 
-def _factor(M):
-    """Solver for (M + SHIFT·I) x = b: SuperLU for a sparse M, LAPACK LU
-    for a dense one.  With ``_apply``, the only places that tell the two
-    formats apart.
+def _factor(M: sp.csr_matrix, dense: bool = False):
+    """Solver for (M + SHIFT·I) x = b, M a CSR Laplacian: SuperLU, or
+    with ``dense`` (``Operators.dense_factor``, the ``spectral`` backend)
+    LAPACK LU of one Fortran-ordered dense copy, factored in place.  The
+    choice is the backend's, not M's density: the 41² ``spectral``
+    degree-1 Laplacian is 4.8% nonzero, and sending it to SuperLU
+    slowed the C04 lift at 41² from 2.5 to 5.2 s (2-core host).
 
     SuperLU orders by minimum degree on A+Aᵀ, with diagonal pivots, in
     symmetric mode.  Every M here is Hermitian PSD and the shift is
@@ -121,12 +117,12 @@ def _factor(M):
     symmetric mode without ``diag_pivot_thresh=0`` still pivots off the
     diagonal."""
     n = M.shape[0]
-    if sp.issparse(M):
+    if not dense:
         return spla.splu(
             (M + SHIFT * sp.identity(n, dtype=complex, format="csr")).tocsc(),
             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
             options={"SymmetricMode": True}).solve
-    shifted = np.array(M, dtype=complex)
+    shifted = M.toarray(order="F")
     shifted.flat[::n + 1] += SHIFT
     lu = sla.lu_factor(shifted, overwrite_a=True)
     return lambda b: sla.lu_solve(lu, b)
@@ -162,12 +158,12 @@ def _lowest_pairs(M, solve, k: int, seed: int):
     # One Rayleigh-Ritz pass over the returned span restores
     # orthonormality to rounding without leaving the span.
     Q, _ = sla.qr(vecs, mode="economic")
-    H = Q.conj().T @ _apply(M, Q)
+    H = Q.conj().T @ (M @ Q)
     # driver="evd" (LAPACK heevd) is np.linalg.eigh's routine: inside a
     # degenerate cluster the basis it picks is the one reported
     vals, V = sla.eigh(0.5 * (H + H.conj().T), driver="evd")
     vecs = _fix_phase(_gemm(Q, V))
-    R = _apply(M, vecs) - vecs * vals
+    R = M @ vecs - vecs * vals
     res = [float(r) for r in sla.norm(R, axis=0)]
     return np.maximum(vals, 0.0), vecs, res, k
 
@@ -241,7 +237,8 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
     _require_twist(f)
     ops = operators if operators is not None else Operators(grid, f, backend)
     M = ops.laplacian_matrix(flavor, degree)
-    return _spectrum(ops, flavor, degree, k, seed, gap_threshold, _factor(M))
+    return _spectrum(ops, flavor, degree, k, seed, gap_threshold,
+                     _factor(M, ops.dense_factor))
 
 
 def _require_twist(f: Polynomial | None) -> None:
@@ -362,7 +359,8 @@ class SpectralContext:
             result = _spectrum(
                 self.ops, CONTEXT_FLAVOR, degree, k, self.seed,
                 DEFAULT_GAP_THRESHOLD,
-                _factor(self.ops.laplacian_matrix(CONTEXT_FLAVOR, 1))
+                _factor(self.ops.laplacian_matrix(CONTEXT_FLAVOR, 1),
+                        self.ops.dense_factor)
                 if degree == 1 else self.solver(degree))
         self._eig[degree] = result
         return result
@@ -383,7 +381,8 @@ class SpectralContext:
                 self._solve[degree] = lambda b: _reflect(twin(_reflect(b)))
             else:
                 self._solve[degree] = _factor(
-                    self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree))
+                    self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree),
+                    self.ops.dense_factor)
         return self._solve[degree]
 
     def green(self, degree: int, b: np.ndarray) -> np.ndarray:
@@ -399,7 +398,7 @@ class SpectralContext:
         r = deflate(b)
         u = deflate(solve(r))
         for _ in range(GREEN_REFINEMENTS):
-            resid = deflate(r - _apply(M, u))
+            resid = deflate(r - M @ u)
             u = deflate(u + solve(resid))
         return u
 
@@ -519,7 +518,7 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
         rhs = -(P1 @ prev)
         w = solve2(rhs)
         for _ in range(2):
-            w = w + solve2(rhs - _apply(M2, w))
+            w = w + solve2(rhs - M2 @ w)
         sk = A1.conj().T @ w
         residuals.append(float(sla.norm(A1 @ sk - rhs)))
         coeffs.append(sk)

@@ -37,21 +37,28 @@ where w1 multiplies a dz-wedge field and w2 a dz̄-wedge field.  The
 twisted Dolbeault operator is (has_dz̄, w1=f'); the twisted de Rham
 operator adds has_dz; the real-superpotential operator adds w2 = conj(f').
 
-The spec is assembled once per flavor into the sparse matrices of
-``sector_matrices``, with Dz = ½(D⊗I − i I⊗D) and Dz̄ = ½(D⊗I + i I⊗D)
-as sparse Kronecker products; the form-level ``diff`` and
-``diff_adjoint`` apply those same cached matrices to the component
-arrays, so each operator has exactly one definition.  For "spectral"
-the blocks hold O(m³) entries.  Its Laplacian is stored dense, because
-a sparse LU of it fills in to about two thirds of the dense size, and
-SuperLU factors it 2–11× slower than LAPACK factors the dense matrix.
+The form-level ``diff`` and ``diff_adjoint`` apply the spec per axis,
+dx g = D g and dy g = g Dᵀ, with Dz = ½(dx − i dy), Dz̄ = ½(dx + i dy)
+and the pointwise weights, so they build no grid-sized matrix.  The
+same spec is assembled once per flavor into the sparse matrices of
+``sector_matrices`` (Kronecker products D⊗I and I⊗D), which serve only
+the Laplacian matrices, ``analysis.hodge_decompose`` and
+``analysis.splitting_map``; a test holds the two forms equal to
+rounding.  Every Laplacian is CSR.  For "spectral" the blocks hold
+O(m³) entries, and ``analysis._factor`` factors that Laplacian dense,
+as the backend's choice, because a sparse LU of it fills in to about
+two thirds of the dense size and SuperLU factors it 2–11× slower than
+LAPACK factors the dense matrix.
 
 Adjoints are constructed, never discretized: starred operators apply
+the transposed derivative matrix and the conjugate weights, which is
 the conjugate transpose of the assembled matrices, so ⟨Aφ,ψ⟩ = ⟨φ,A*ψ⟩
 holds to rounding for every backend, including the one-sided pair.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,10 +69,10 @@ from .forms import DiscreteForm
 from .grid import Grid
 
 _RAISE = np.sqrt(2.0)  # uniform scale factor of degree-raising blocks
-# Refuse a dense Laplacian whose matrix plus the LU copy that
-# ``analysis._factor`` makes would exceed this: the degree-1 spectral
-# Laplacian fits at 41² (2 × 172 MiB) and up to 53², and is refused
-# from 55² on (81²: 2 × 2.75 GB).
+# Refuse a Laplacian whose dense LU copy, the one ``analysis._factor``
+# makes for a ``dense_factor`` backend, would exceed this: the degree-1
+# spectral Laplacian fits at 41² (172 MiB) and up to 63², and is refused
+# from 65² on (81²: 2.75 GB).
 DENSE_BYTES_LIMIT = 2**30
 
 
@@ -120,6 +127,8 @@ _FLAVORS = {
 class Operators:
     """All grid operators for one (f, grid, backend) triple."""
 
+    sparse = True  # every Laplacian matrix is CSR
+
     def __init__(self, grid: Grid, f: Polynomial | None,
                  backend: str = "fd2"):
         if backend not in _DERIVATIVES:
@@ -139,9 +148,10 @@ class Operators:
             self.fp = _sample(f.diff(0), grid.z)
             self.f_values = _sample(f, grid.z)
         self.fbp = np.conj(self.fp)
-        # the spectral Laplacian is stored dense; the others stay sparse
-        self.sparse = backend != "spectral"
+        # the spectral Laplacian is factored dense (see the module docstring)
+        self.dense_factor = backend == "spectral"
         self.D = sp.csr_matrix(_DERIVATIVES[backend](grid.points, grid.h))
+        self._DT = self.D.T.tocsr()
         self._mat_cache: dict = {}
 
     # -- pointwise fields ----------------------------------------------------
@@ -167,25 +177,63 @@ class Operators:
         if a.grid != self.grid:
             raise PrecondError("form grid does not match operator grid")
 
+    def _blocks(self, flavor: str, adjoint: bool = False):
+        """The flavor's raising blocks into the dz- and the dz̄-wedge
+        component, or with ``adjoint`` their conjugate transposes.  Each
+        is (D, sign, w) for the map ½(D g + sign·g Dᵀ) + w·g, with D None
+        where the block has no derivative: Dz has sign −i and Dz̄ +i, and
+        as D is real, the conjugate transpose of a block is the block of
+        (Dᵀ, −sign, w̄)."""
+        if flavor not in _FLAVORS:
+            raise PrecondError(f"unknown operator flavor {flavor!r}")
+        has_dz, has_dzb, w1s, w2s = _FLAVORS[flavor]
+        D = self._DT if adjoint else self.D
+        blocks = []
+        for use_D, sign, spec in ((has_dz, -1j, w1s), (has_dzb, 1j, w2s)):
+            w = None if spec is None else self._wfield(spec)
+            if adjoint:
+                sign, w = -sign, None if w is None else np.conj(w)
+            blocks.append((D if use_D else None, sign, w))
+        return blocks
+
+    @staticmethod
+    def _apply_block(block, g: np.ndarray) -> np.ndarray:
+        D, sign, w = block
+        if D is None:
+            return np.zeros_like(g) if w is None else w * g
+        out = D @ g
+        dy = (D @ g.T).T
+        dy *= sign
+        out += dy
+        out *= 0.5
+        if w is not None:
+            out += w * g
+        return out
+
     def diff(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
         self._check_grid(a)
-        A0, A1 = self.sector_matrices(flavor)
-        c = a.comps.reshape(4, -1)
-        out = np.zeros_like(c)
-        out[1:3] = (A0 @ c[0]).reshape(2, -1) / _RAISE
-        out[3] = (A1 @ c[1:3].ravel()) / _RAISE
-        return DiscreteForm(self.grid, out.reshape(a.comps.shape))
+        to_c1, to_c2 = self._blocks(flavor)
+        c0, c1, c2, _ = a.comps
+        out = DiscreteForm(self.grid)
+        out.comps[1] = self._apply_block(to_c1, c0)
+        out.comps[2] = self._apply_block(to_c2, c0)
+        out.comps[3] = (self._apply_block(to_c1, c2)
+                        - self._apply_block(to_c2, c1))
+        return out
 
     def diff_adjoint(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
-        """Exact adjoint of diff(flavor) in the weighted inner product."""
+        """Exact adjoint of diff(flavor) in the weighted inner product: the
+        metric weights 1, 2, 2, 4 make each lowering block twice the
+        conjugate transpose of its raising block."""
         self._check_grid(a)
-        A0, A1 = self.sector_matrices(flavor)
-        c = a.comps.reshape(4, -1)
-        out = np.zeros_like(c)
-        # Aᴴx as conj(Aᵀ conj(x)), so no conjugate transpose is stored
-        out[0] = _RAISE * np.conj(A0.T @ np.conj(c[1:3].ravel()))
-        out[1:3] = (_RAISE * np.conj(A1.T @ np.conj(c[3]))).reshape(2, -1)
-        return DiscreteForm(self.grid, out.reshape(a.comps.shape))
+        from_c1, from_c2 = self._blocks(flavor, adjoint=True)
+        _, c1, c2, c3 = a.comps
+        out = DiscreteForm(self.grid)
+        out.comps[0] = 2 * (self._apply_block(from_c1, c1)
+                            + self._apply_block(from_c2, c2))
+        out.comps[1] = -2 * self._apply_block(from_c2, c3)
+        out.comps[2] = 2 * self._apply_block(from_c1, c3)
+        return out
 
     def dirac(self, flavor: str, a: DiscreteForm) -> DiscreteForm:
         return self.diff(flavor, a) + self.diff_adjoint(flavor, a)
@@ -196,12 +244,16 @@ class Operators:
 
     # -- contraction homotopy pieces ------------------------------------------
 
+    @cached_property
+    def _inv_fp(self) -> np.ndarray:
+        """1/f′, zero where f′ vanishes."""
+        return 1.0 / np.where(np.abs(self.fp) > 1e-300, self.fp, np.inf)
+
     def gradient_contraction(self, a: DiscreteForm) -> DiscreteForm:
         """V_f = (df∧)*/|∇f|²: pointwise inverse of the df-wedge away
         from critical points (zero filled at the critical set; callers
         multiply by cutoffs vanishing there)."""
-        safe = np.where(np.abs(self.fp) > 1e-300, self.fp, np.inf)
-        inv = 1.0 / safe
+        inv = self._inv_fp
         out = DiscreteForm(self.grid)
         out.comps[0] = inv * a.comps[1]
         out.comps[2] = inv * a.comps[3]
@@ -241,11 +293,9 @@ class Operators:
         self._mat_cache[key] = (A0, A1)
         return A0, A1
 
-    def laplacian_matrix(self, flavor: str, degree: int):
-        """CSR for the finite-difference backends, a dense array for
-        "spectral", whose sparse LU would fill in to about two thirds of
-        the dense size (the only place that picks the storage format).
-        A dense matrix that, with its LU copy, would exceed
+    def laplacian_matrix(self, flavor: str, degree: int) -> sp.csr_matrix:
+        """The flavor's Laplacian in one degree, as CSR.  Where the backend
+        is factored dense, a Laplacian whose dense LU copy would exceed
         ``DENSE_BYTES_LIMIT`` is refused with ``PrecondError`` before
         anything is assembled."""
         key = ("lap", flavor, degree)
@@ -253,14 +303,14 @@ class Operators:
             return self._mat_cache[key]
         if degree not in (0, 1, 2):
             raise PrecondError("degree must be 0, 1, or 2")
-        if not self.sparse:
+        if self.dense_factor:
             n = (2 if degree == 1 else 1) * self.grid.points ** 2
-            need = 2 * n * n * np.dtype(complex).itemsize
+            need = n * n * np.dtype(complex).itemsize
             if need > DENSE_BYTES_LIMIT:
                 raise PrecondError(
                     f"dense {flavor} Laplacian at degree {degree} on a "
                     f"grid of {self.grid.points}² points needs about "
-                    f"{need / 2**20:.0f} MiB (matrix and its LU copy), over "
+                    f"{need / 2**20:.0f} MiB (its dense LU copy), over "
                     f"the {DENSE_BYTES_LIMIT / 2**20:.0f} MiB limit; use a "
                     "finite-difference backend or a coarser grid")
         A0, A1 = self.sector_matrices(flavor)
@@ -270,7 +320,7 @@ class Operators:
             M = A1.conj().T @ A1 + A0 @ A0.conj().T
         else:
             M = A1 @ A1.conj().T
-        M = M.tocsr() if self.sparse else M.toarray()
+        M = M.tocsr()
         self._mat_cache[key] = M
         return M
 

@@ -290,6 +290,34 @@ def test_operators_match_the_per_axis_component_formula(backend):
             flavor
 
 
+@pytest.mark.parametrize("backend", sorted(DERIVATIVE_MATRICES))
+def test_per_axis_operators_match_the_assembled_sector_matrices(backend):
+    # diff and diff_adjoint apply each flavor per axis; the sparse blocks
+    # the Laplacians are built from must be the same operators
+    grid = build_grid(3.0, 17)
+    ops = Operators(grid, F3, backend)
+    rng = np.random.default_rng(6)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    for flavor in _FLAVORS:
+        A0, A1 = ops.sector_matrices(flavor)
+        a = DiscreteForm(grid, rng.standard_normal((4, 17, 17))
+                         + 1j * rng.standard_normal((4, 17, 17)))
+        c = a.comps.reshape(4, -1)
+        got = ops.diff(flavor, a).comps.reshape(4, -1)
+        assert not np.any(got[0]), flavor
+        assert close(got[1:3].ravel(), A0 @ c[0] / np.sqrt(2)), flavor
+        assert close(got[3], A1 @ c[1:3].ravel() / np.sqrt(2)), flavor
+        got = ops.diff_adjoint(flavor, a).comps.reshape(4, -1)
+        assert close(got[0], np.sqrt(2) * (A0.conj().T @ c[1:3].ravel())), \
+            flavor
+        assert close(got[1:3].ravel(), np.sqrt(2) * (A1.conj().T @ c[3])), \
+            flavor
+        assert not np.any(got[3]), flavor
+
+
 def test_sector_matrices_stay_sparse_in_every_backend():
     m = 17
     grid = build_grid(3.0, m)
@@ -298,12 +326,10 @@ def test_sector_matrices_stay_sparse_in_every_backend():
         for flavor in _FLAVORS:
             A0, A1 = ops.sector_matrices(flavor)
             assert sp.issparse(A0) and sp.issparse(A1), (backend, flavor)
-        # only the spectral Laplacian is dense: its LU would fill in anyway
-        M = ops.laplacian_matrix("dbar_f", 1)
-        if backend == "spectral":
-            assert isinstance(M, np.ndarray)
-        else:
-            assert sp.isspmatrix_csr(M)
+        # the spectral Laplacian is factored dense, but held as CSR
+        for degree in (0, 1, 2):
+            M = ops.laplacian_matrix("dbar_f", degree)
+            assert sp.isspmatrix_csr(M), (backend, degree)
     # the spectral blocks are Kronecker products, not dense copies
     A0, _ = Operators(grid, F3, "spectral").sector_matrices("d_2Ref")
     assert A0.nnz <= 2 * m ** 2 * (2 * m - 1)
@@ -577,18 +603,39 @@ def test_reported_eigenvalues_match_a_tight_reference(text, mu):
 
 
 def test_oversized_dense_laplacian_is_refused_before_assembly():
-    # the degree-1 spectral Laplacian at 81² would need 2.75 GB, twice
+    # the dense LU copy of the degree-1 spectral Laplacian at 81² would
+    # need 2.75 GB
     grid = build_grid(4.5, 81)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(PrecondError, match="needs about 5255 MiB"):
+        with pytest.raises(PrecondError, match="needs about 2627 MiB"):
             eigensolve_lowest(F3, grid, degree=1, k=6, backend="spectral")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 16 * 2**20
+
+
+def test_a_spectral_eigensolve_keeps_no_dense_laplacian():
+    # the only dense matrix is the LU copy made inside the factorization,
+    # and it is freed with the factor; the Laplacian stays CSR
+    m = 25
+    grid = build_grid(4.0, m)
+    dense = (2 * m * m) ** 2 * np.dtype(complex).itemsize
+    ops = Operators(grid, F3, "spectral")
+    tracemalloc.start()
+    try:
+        res = eigensolve_lowest(F3, grid, degree=1, k=6, backend="spectral",
+                                operators=ops)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.eigenvalues) == 6
+    assert sp.isspmatrix_csr(ops.laplacian_matrix("dbar_f", 1))
+    assert current < dense / 2
+    assert peak < 1.5 * dense
 
 
 def test_context_caches_kernels_solvers_and_spectra():
@@ -893,16 +940,29 @@ def test_homotopy_identity_residual_shrinks_at_second_order():
 
 
 def test_homotopy_check_computes_the_same_report_as_before():
-    # the probe's contraction is shared by R and T; the report is unchanged
-    # to the last bit
+    # the report of the per-axis operators, pinned to the last bit; the
+    # sparse sector matrices gave the same report to rounding
     report = homotopy_identity_check(F2, build_grid(4.0, 65), levels=3)
     assert report == {
         "inner_radius": 1.4, "outer_radius": 2.4,
         "grid_points": [65, 129, 257],
-        "residuals": [0.03644724231546966, 0.009900339297219521,
-                      0.0025293722183651894],
-        "ratios": [3.6814134567797847, 3.9141488252837746],
+        "residuals": [0.036447242315469655, 0.009900339297219517,
+                      0.0025293722183651886],
+        "ratios": [3.6814134567797856, 3.9141488252837746],
         "interior_residual": 4.0684035816230584e-19}
+
+
+def test_homotopy_check_builds_no_grid_matrix():
+    # per-axis operators: the 257² level holds a few grid-sized forms, not
+    # the Kronecker sector matrices (which peaked at 65.9 MiB)
+    tracemalloc.start()
+    try:
+        homotopy_identity_check(F2, build_grid(4.0, 65), levels=3,
+                                backend="fd2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20
 
 
 # -- comparison with the full twisted exterior derivative ---------------------------
