@@ -477,11 +477,21 @@ def _check_laplacian_flavors():
 
 def _check_hodge(seed: int):
     import numpy as np
+    import scipy.linalg as sla
     from .spectral import DiscreteForm, build_grid, hodge_decompose
-    from .spectral.analysis import SpectralContext
+    from .spectral.analysis import SpectralContext, _kernel_basis
     f = parse_polynomial("z^2/2", ("z",))
     grid = build_grid(4.0, 33)
     ctx = SpectralContext(f, grid, backend="fd1", seed=seed)
+    # the split's kernel against the one an ARPACK eigensolve certifies
+    K = ctx.kernel_matrix(1)
+    E = _kernel_basis(ctx.eigensolve(1))
+    if K.shape[1] != E.shape[1]:
+        return False, (f"kernel dims {K.shape[1]} (context), "
+                       f"{E.shape[1]} (eigensolve)")
+    angle = float(np.max(sla.subspace_angles(K, E), initial=0.0))
+    if angle > 1e-12:
+        return False, f"kernel projectors differ by {angle:.2e}"
     rng = np.random.default_rng(seed)
     worst_residual = worst_cross = 0.0
     for _ in range(3):
@@ -494,7 +504,9 @@ def _check_hodge(seed: int):
         return False, (f"residual {worst_residual:.2e}, "
                        f"cross {worst_cross:.2e}")
     return True, (f"split residual {worst_residual:.2e}, "
-                  f"orthogonality {worst_cross:.2e}")
+                  f"orthogonality {worst_cross:.2e}; degree-1 kernel of "
+                  f"dimension {K.shape[1]} matches the eigensolve's "
+                  f"projector to {angle:.2e}")
 
 
 def _check_kernel_count(seed: int):

@@ -24,6 +24,13 @@ set together; minimum degree with partial pivoting factors several
 times slower.  All randomness is seeded, and eigenvector phases are
 normalized, so repeated runs give identical output.
 
+A ``SpectralContext`` reads no eigenvalues, only the kernel that a
+Hodge split projects onto and a Green solve deflates, so its kernels
+skip ARPACK.  Block inverse iteration on the same shifted factor
+(``_kernel_by_inverse_iteration``) reaches that kernel to rounding in
+two to four solves on a block of eight columns, where a k = 8 ARPACK
+window takes 48–76 single solves (fd1 at 65², z²/2 to z⁴/4).
+
 Degree 2 is degree 0 under the point reflection Π: z → −z.  Every
 backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π) (see ``operators``), and
 L₀[f(−z)] = L₀[f] where |f′| is centrally symmetric.  A
@@ -69,6 +76,9 @@ CONTEXT_FLAVOR = "dbar_f"  # the Laplacian a SpectralContext serves
 GREEN_REFINEMENTS = 3  # iterative-refinement passes of a Green solve
 HARMONIC_TOL = 1e-8  # harmonic defect a splitting-map input may have
 ROUNDING_TOL = 1e-12  # max-norm relative distance that counts as rounding
+KERNEL_BLOCK = 8  # columns of the inverse iteration behind a context kernel
+KERNEL_ITERATIONS = 6  # block solves before that iteration gives up
+KERNEL_TOL = 1e-9  # how far a converged kernel span moves in one step
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -217,6 +227,47 @@ def _kernel_basis(result: SpectralResult) -> np.ndarray:
     return sla.qr(np.column_stack(cols), mode="economic")[0]
 
 
+def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
+    """Orthonormal Ritz vectors spanning the eigenvectors of M, Hermitian
+    PSD, with eigenvalues below ``DEFAULT_GAP_THRESHOLD``; ``solve`` is
+    the ``_factor`` solver of M.
+
+    Block inverse iteration from ``KERNEL_BLOCK`` seeded columns: each
+    step solves on the block, orthonormalizes it, and takes the Ritz
+    pairs of M in its span.  The kernel's values of (M + SHIFT·I)⁻¹ are
+    near 1/SHIFT, and those of the eigenvectors the block cannot hold
+    at most about 1, so each step shrinks the angle between the kept
+    Ritz vectors and the kernel by 10⁴ or more (fd1 and ``spectral``,
+    z²/2 to z⁴/4).  The basis is returned once the count kept has held
+    and the kept span moved by at most ``KERNEL_TOL`` in that step.  The
+    residuals cannot serve as the test: where the first value above the
+    threshold is small (1.3e-2 for the ``spectral`` z⁴/4 at 25²),
+    residuals at rounding level still leave the span 5e-12 off.  A
+    block whose Ritz values all sit below the
+    threshold may miss part of the kernel, so it fails, as does an
+    iteration not done after ``KERNEL_ITERATIONS`` steps."""
+    rng = np.random.default_rng(seed)
+    shape = (M.shape[0], KERNEL_BLOCK)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    K = None
+    for _ in range(KERNEL_ITERATIONS):
+        X = sla.qr(solve(X), mode="economic", overwrite_a=True)[0]
+        H = _gemm(X, M @ X, trans=2)
+        vals, V = sla.eigh(0.5 * (H + H.conj().T), driver="evd")
+        kept = int(np.sum(vals < DEFAULT_GAP_THRESHOLD))
+        if kept == len(vals):
+            raise ComputeError(
+                f"all {kept} Ritz values of the kernel block sit below the "
+                "threshold; the kernel may be larger than the block")
+        X = _gemm(X, V)
+        previous, K = K, X[:, :kept]
+        if (previous is not None and previous.shape == K.shape
+                and sla.norm(K - _project(previous, K)) <= KERNEL_TOL):
+            return K.copy(order="F")  # a view would keep the block alive
+    raise ComputeError(f"kernel inverse iteration not converged after "
+                       f"{KERNEL_ITERATIONS} block solves")
+
+
 def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                       k: int = 8, backend: str = "fd2", seed: int = 7,
                       gap_threshold: float = DEFAULT_GAP_THRESHOLD,
@@ -310,6 +361,15 @@ class SpectralContext:
     the ``CONTEXT_FLAVOR`` Laplacian for one (f, grid, backend), per
     degree, so repeated decompositions stay cheap.
 
+    ``kernel_matrix`` runs no eigensolve: block inverse iteration,
+    seeded by ``seed``, through the factor of M + SHIFT·I gives the
+    kernel basis (see ``_kernel_by_inverse_iteration``).  In degrees 0
+    and 2 that is the cached ``solver`` factor, which ``green`` uses
+    too; in degree 1 it is a factor made for the iteration and dropped.
+    ``eigensolve`` runs ARPACK for callers that read the spectrum, and
+    its kernel count and the kernel basis agree (the tests hold their
+    projectors equal to 1e-12).
+
     Degrees 0 and 2 share one factorization where they can.  Every
     backend has P·D·P = Dᵀ (see ``operators``), so L₂[f] =
     conj(Π·L₀[f(−z)]·Π) with Π the point reflection z → −z.  The twist
@@ -321,10 +381,11 @@ class SpectralContext:
     is never solved on its own: its spectrum and kernel are those of
     degree 0, reflected, with degree 0's eigenvalues, residuals and
     certification.  Otherwise (f of neither parity) degree 2 is solved
-    directly.  The eigensolves in degrees 0 and 2 run through the cached
-    factors, so a Green solve after them factors nothing; the degree-1
-    factor is made per eigensolve and dropped, since keeping it costs
-    more memory than the one later factorization it would save."""
+    directly.  Kernels and eigensolves in degrees 0 and 2 run through the
+    cached factors, so a Green solve after them factors nothing; the
+    degree-1 factor is made per kernel or eigensolve and dropped, since
+    keeping it costs more memory than the one later factorization it
+    would save."""
 
     def __init__(self, f: Polynomial | None, grid: Grid,
                  backend: str = "fd2", seed: int = 7):
@@ -370,7 +431,12 @@ class SpectralContext:
             if degree == 2 and self._mirrored:
                 self._kernel[2] = _reflect(self.kernel_matrix(0))
             else:
-                self._kernel[degree] = _kernel_basis(self.eigensolve(degree))
+                _require_twist(self.f)
+                M = self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree)
+                solve = (_factor(M, self.ops.dense_factor) if degree == 1
+                         else self.solver(degree))
+                self._kernel[degree] = _kernel_by_inverse_iteration(
+                    M, solve, self.seed)
         return self._kernel[degree]
 
     def solver(self, degree: int):

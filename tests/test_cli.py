@@ -4,12 +4,14 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lglab import groebner
-from lglab.cli import (UsageError, _check_truncated_arithmetic,
+from lglab.cli import (UsageError, _check_hodge, _check_truncated_arithmetic,
                        execute_command, main, parse_config)
 from lglab.poly import Polynomial
+from lglab.spectral import SpectralContext
 
 
 # -- configuration layering -----------------------------------------------------
@@ -284,6 +286,26 @@ def test_verify_runs_the_whole_checklist(tmp_path, capsys):
     ledger = json.loads(report.read_text())["results"]["checks"]
     [entry] = [c for c in ledger if c["check"] == "poly:truncated-arithmetic"]
     assert entry["passed"], entry["detail"]
+    [hodge] = [c for c in ledger if c["check"] == "spectral:hodge-split"]
+    assert hodge["passed"], hodge["detail"]
+    assert "matches the eigensolve's projector" in hodge["detail"]
+
+
+@pytest.mark.parametrize("columns, expected", [
+    (0, "kernel dims 0 (context), 1 (eigensolve)"),
+    (1, "kernel projectors differ")])
+def test_hodge_check_compares_the_split_kernel_with_the_eigensolve(
+        monkeypatch, columns, expected):
+    # a context kernel of the wrong dimension, or a unit vector that is
+    # not the kernel, fails the check
+    def wrong_kernel(self, degree):
+        K = np.ones((self.grid.points ** 2 * (2 if degree == 1 else 1),
+                     columns), dtype=complex)
+        return K / np.sqrt(K.shape[0])
+
+    monkeypatch.setattr(SpectralContext, "kernel_matrix", wrong_kernel)
+    passed, detail = _check_hodge(7)
+    assert not passed and expected in detail
 
 
 def test_truncated_arithmetic_check_catches_a_wrong_product(monkeypatch):

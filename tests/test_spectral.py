@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from lglab.spectral.analysis import (
     SHIFT,
     _equal_to_rounding,
     _factor,
+    _kernel_basis,
     _reflected,
     _reflection_sign,
 )
@@ -690,8 +692,9 @@ def _count_factors_and_arpack_runs(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("text,factors", [("z^3/3", 2), (MIXED_TEXT, 3)])
 def test_context_factors_degrees_0_and_2_once(text, factors, monkeypatch):
-    # one factorization and one ARPACK run per degree that is solved; a
-    # parity f solves degree 2 as the reflection of degree 0
+    # one factorization per degree that is solved, and no ARPACK run: the
+    # kernels come from inverse iteration on those factors; a parity f
+    # solves degree 2 as the reflection of degree 0
     calls = _count_factors_and_arpack_runs(monkeypatch)
     grid = build_grid(4.0, 33)
     ctx = SpectralContext(Pz(text), grid, backend="fd1")
@@ -707,7 +710,69 @@ def test_context_factors_degrees_0_and_2_once(text, factors, monkeypatch):
         r = b - K @ (K.conj().T @ b) - ctx.ops.laplacian_matrix(
             "dbar_f", degree) @ u
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
-    assert calls == {"factor": factors, "arpack": factors}
+    assert calls == {"factor": factors, "arpack": 0}
+
+
+@pytest.mark.parametrize("backend,points", [("fd1", 33), ("spectral", 25)])
+@pytest.mark.parametrize("text", PARITY_TEXTS + (MIXED_TEXT,))
+def test_context_kernel_matches_the_eigensolve_kernel(backend, points, text):
+    # the Hodge split's kernel by inverse iteration spans what the ARPACK
+    # eigensolve counts below the threshold; on spectral at 25² that count
+    # takes in boundary-seam pseudo-modes (4 for z³/3, μ = 2), and here
+    # both paths need only agree on them
+    ctx = SpectralContext(Pz(text), build_grid(4.0, points), backend=backend)
+    for degree in (0, 1, 2):
+        K = ctx.kernel_matrix(degree)
+        res = ctx.eigensolve(degree)
+        assert K.shape[1] == res.kernel_dim
+        assert np.max(np.abs(K.conj().T @ K - np.eye(K.shape[1])),
+                      initial=0.0) <= 1e-12
+        angles = sla.subspace_angles(K, _kernel_basis(res))
+        assert np.max(angles, initial=0.0) <= 1e-12
+
+
+def test_a_kernel_that_fills_the_block_is_refused(monkeypatch):
+    # z⁴/4 has μ = 3: a block of 2 cannot hold its kernel, and every Ritz
+    # value of the block sits below the threshold
+    monkeypatch.setattr(analysis, "KERNEL_BLOCK", 2)
+    ctx = SpectralContext(Pz("z^4/4"), build_grid(4.0, 41), backend="fd1")
+    with pytest.raises(ComputeError, match="larger than the block"):
+        ctx.kernel_matrix(1)
+
+
+def test_a_kernel_iteration_past_its_cap_is_refused(monkeypatch):
+    # two block solves leave the span of z²/2's kernel moving by ~1e-6
+    monkeypatch.setattr(analysis, "KERNEL_ITERATIONS", 2)
+    ctx = SpectralContext(F2, build_grid(4.0, 33), backend="fd1")
+    with pytest.raises(ComputeError, match="not converged after 2"):
+        ctx.kernel_matrix(1)
+
+
+def test_a_constant_potential_is_refused_before_any_factorization(
+        monkeypatch):
+    calls = _count_factors_and_arpack_runs(monkeypatch)
+    ctx = SpectralContext(Pz("3"), build_grid(4.0, 17), backend="fd1")
+    for degree in (0, 1, 2):
+        with pytest.raises(PrecondError, match="f is constant"):
+            ctx.kernel_matrix(degree)
+    assert calls == {"factor": 0, "arpack": 0}
+
+
+def test_a_context_kernel_stays_small_in_memory():
+    # the SuperLU factor lives outside Python's allocator; what is traced
+    # is the block of 8 columns and its Ritz work, about 5 MiB at fd1 65²
+    # in degree 1 (8450 rows).  Reading SuperLU.L or .U would add 15 MiB
+    # of CSC copies, kept as long as the factor.
+    ctx = SpectralContext(F3, build_grid(4.0, 65), backend="fd1")
+    ctx.ops.laplacian_matrix("dbar_f", 1)
+    tracemalloc.start()
+    try:
+        K = ctx.kernel_matrix(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape[1] == 2
+    assert peak < 8 * 2**20
 
 
 def test_a_degree2_factor_made_first_serves_degree0(monkeypatch):
