@@ -33,11 +33,11 @@ window takes 48–76 single solves (fd1 at 65², z²/2 to z⁴/4).
 
 Degree 2 is degree 0 under the point reflection Π: z → −z.  Every
 backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π) (see ``operators``), and
-L₀[f(−z)] = L₀[f] where |f′| is centrally symmetric.  A
-``SpectralContext`` checks that symmetry once; where it holds, degrees 0
-and 2 share one factorization, and degree 2 takes degree 0's spectrum
-and kernel through x ↦ conj(Π·x).  Otherwise (f of neither parity)
-degree 2 is solved on its own.
+L₀[f(−z)] = L₀[f] when f's nonconstant exponents are all even or all
+odd (``operators.parity``).  For such an f, degrees 0 and 2 of a
+``SpectralContext`` share one factorization, and degree 2 takes degree
+0's spectrum and kernel through x ↦ conj(Π·x).  Otherwise (f of neither
+parity) degree 2 is solved on its own.
 
 Dense linear algebra here (QR, Hermitian eigensolves, norms, products
 of tall blocks) goes through ``scipy.linalg`` and its BLAS, not
@@ -55,6 +55,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -67,7 +68,7 @@ from ..util import ComputeError, PrecondError
 from .forms import DEGREE_SECTORS, DiscreteForm, inner, norm
 from .forms import wedge_pairing
 from .grid import Grid, build_grid, refine
-from .operators import Operators
+from .operators import Operators, parity
 
 DEFAULT_GAP_THRESHOLD = 1e-3
 GAP_RATIO = 100.0  # certification: first excluded / last included
@@ -75,7 +76,6 @@ SHIFT = 1e-6  # every factorization is of M + SHIFT·I
 CONTEXT_FLAVOR = "dbar_f"  # the Laplacian a SpectralContext serves
 GREEN_REFINEMENTS = 3  # iterative-refinement passes of a Green solve
 HARMONIC_TOL = 1e-8  # harmonic defect a splitting-map input may have
-ROUNDING_TOL = 1e-12  # max-norm relative distance that counts as rounding
 KERNEL_BLOCK = 8  # columns of the inverse iteration behind a context kernel
 KERNEL_ITERATIONS = 6  # block solves before that iteration gives up
 KERNEL_TOL = 1e-9  # how far a converged kernel span moves in one step
@@ -98,11 +98,6 @@ def _gemm(A: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
     when it is Fortran-ordered."""
     C = blas.zgemm(1.0, A, B[:, None] if B.ndim == 1 else B, trans_a=trans)
     return C[:, 0] if B.ndim == 1 else C
-
-
-def _equal_to_rounding(A, B) -> bool:
-    """max|A − B| ≤ ``ROUNDING_TOL``·max|B|, for sparse or dense A, B."""
-    return abs(A - B).max() <= ROUNDING_TOL * abs(B).max()
 
 
 def _project(K: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -180,7 +175,10 @@ def _lowest_pairs(M, solve, k: int, seed: int):
 
 @dataclass
 class SpectralResult:
-    """Lowest part of one Laplacian spectrum with a certified kernel count."""
+    """Lowest part of one Laplacian spectrum with a certified kernel count.
+    ``vectors`` holds the orthonormal eigenvectors as flat columns, so
+    ``vectors[:, :kernel_dim]`` is a kernel basis; ``eigenforms`` unpacks
+    them on first read."""
 
     f_text: str
     flavor: str
@@ -196,7 +194,13 @@ class SpectralResult:
     certified: bool
     reliable: bool
     notes: list
-    eigenforms: list = field(repr=False, default_factory=list)
+    vectors: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenforms(self) -> list:
+        grid = Grid(self.half_width, self.points)
+        sector = DEGREE_SECTORS[self.degree]
+        return [DiscreteForm.unpack(grid, sector, v) for v in self.vectors.T]
 
     def describe(self) -> dict:
         return {
@@ -214,17 +218,6 @@ class SpectralResult:
             "reliable": self.reliable,
             "notes": list(self.notes),
         }
-
-
-def _kernel_basis(result: SpectralResult) -> np.ndarray:
-    """Orthonormal columns spanning the computed kernel of one eigensolve,
-    as flat vectors of its degree sector."""
-    sector = DEGREE_SECTORS[result.degree]
-    cols = [form.pack(sector)
-            for form in result.eigenforms[:result.kernel_dim]]
-    if not cols:
-        return np.zeros((len(sector) * result.points ** 2, 0), dtype=complex)
-    return sla.qr(np.column_stack(cols), mode="economic")[0]
 
 
 def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
@@ -339,14 +332,12 @@ def _spectrum(ops: Operators, flavor: str, degree: int, k: int, seed: int,
     reliable = certified and not flat
 
     grid = ops.grid
-    forms = [DiscreteForm.unpack(grid, DEGREE_SECTORS[degree], v)
-             for v in vecs.T]
     return SpectralResult(
         f_text="0" if ops.f is None else str(ops.f), flavor=flavor,
         degree=degree, backend=ops.backend, half_width=grid.half_width,
         points=grid.points, gap_threshold=gap_threshold,
         eigenvalues=vals_list, residuals=res, kernel_dim=kernel_dim, gap=gap,
-        certified=certified, reliable=reliable, notes=notes, eigenforms=forms)
+        certified=certified, reliable=reliable, notes=notes, vectors=vecs)
 
 
 def _reflect(x):
@@ -373,19 +364,18 @@ class SpectralContext:
     Degrees 0 and 2 share one factorization where they can.  Every
     backend has P·D·P = Dᵀ (see ``operators``), so L₂[f] =
     conj(Π·L₀[f(−z)]·Π) with Π the point reflection z → −z.  The twist
-    enters both Laplacians only as the diagonal 2|f′|², so L₀[f(−z)] =
-    L₀[f] exactly when |f′|² is centrally symmetric on the grid (every f
-    that is even or odd).  The context checks that once, on the sampled
-    field.  Where it holds to rounding, whichever of degrees 0 and 2 is
-    factored first serves the other under x ↦ conj(Π·x), and degree 2
-    is never solved on its own: its spectrum and kernel are those of
-    degree 0, reflected, with degree 0's eigenvalues, residuals and
-    certification.  Otherwise (f of neither parity) degree 2 is solved
-    directly.  Kernels and eigensolves in degrees 0 and 2 run through the
-    cached factors, so a Green solve after them factors nothing; the
-    degree-1 factor is made per kernel or eigensolve and dropped, since
-    keeping it costs more memory than the one later factorization it
-    would save."""
+    enters both Laplacians only as the diagonal 2|f′|², and f(−z) has
+    derivative ±f′ when f's nonconstant exponents are all even or all
+    odd (``operators.parity``), so then L₀[f(−z)] = L₀[f] exactly.  For
+    such an f, whichever of degrees 0 and 2 is factored first serves the
+    other under x ↦ conj(Π·x), and degree 2 is never solved on its own:
+    its spectrum and kernel are those of degree 0, reflected, with degree
+    0's eigenvalues, residuals and certification.  Otherwise (f of
+    neither parity) degree 2 is solved directly.  Kernels and
+    eigensolves in degrees 0 and 2 run through the cached factors, so a
+    Green solve after them factors nothing; the degree-1 factor is made
+    per kernel or eigensolve and dropped, since keeping it costs more
+    memory than the one later factorization it would save."""
 
     def __init__(self, f: Polynomial | None, grid: Grid,
                  backend: str = "fd2", seed: int = 7):
@@ -397,9 +387,8 @@ class SpectralContext:
         self._eig: dict = {}
         self._solve: dict = {}
         self._kernel: dict = {}
-        # L₂ = conj(Π·L₀·Π): |f′|² equals its point reflection
-        weight = np.abs(self.ops.fp) ** 2
-        self._mirrored = _equal_to_rounding(weight[::-1, ::-1], weight)
+        # L₂ = conj(Π·L₀·Π): f(−z) has derivative ±f′
+        self._mirrored = parity(f) is not None
 
     def eigensolve(self, degree: int, k: int = 8) -> SpectralResult:
         cached = self._eig.get(degree)
@@ -412,10 +401,7 @@ class SpectralContext:
             result = replace(
                 res, degree=2, eigenvalues=list(res.eigenvalues),
                 residuals=list(res.residuals), notes=list(res.notes),
-                eigenforms=[DiscreteForm.unpack(
-                    self.grid, DEGREE_SECTORS[2],
-                    _reflect(form.pack(DEGREE_SECTORS[0])))
-                    for form in res.eigenforms])
+                vectors=_reflect(res.vectors))
         else:
             result = _spectrum(
                 self.ops, CONTEXT_FLAVOR, degree, k, self.seed,
@@ -773,22 +759,18 @@ def _reflected(f: Polynomial) -> Polynomial:
         f.names, f.mode)
 
 
-def _reflection_sign(L_f, L_g):
-    """``sign`` with ``L_g`` = S·``L_f``·S to rounding, or None.
-
-    ``L_f`` and ``L_g`` are sparse degree-1 Laplacians on the (dz, dz̄)
-    sector, of f and of f(−z), and S = diag(``sign`` on the dz block, 1
-    on dz̄)."""
-    n = L_f.shape[0] // 2
-    for sign in (1.0, -1.0):
-        S = sp.diags(np.repeat([sign, 1.0], n))
-        if _equal_to_rounding(S @ L_f @ S, L_g):
-            return sign
-    return None
-
-
 _DERHAM_FLAVORS = ("dbar_f", "dbar_f_half", "d_f")
 DERHAM_K = 8  # eigenpairs per degree-1 solve of the comparison
+
+
+def _mirror_signs(f: Polynomial) -> dict:
+    """Per flavor, the s with L[f(−z)] = S·L[f]·S for the degree-1
+    Laplacians, S = diag(s on dz, 1 on dz̄), or None.  f(−z) has
+    derivative ``parity(f)``·f′; the Dolbeault flavors' only block into
+    dz is the weight f′, but ``d_f``'s also holds Dz, which S negates."""
+    p = parity(f)
+    return {flavor: None if p == -1 and flavor == "d_f" else p
+            for flavor in _DERHAM_FLAVORS}
 
 
 def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
@@ -815,34 +797,33 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     Laplacian of g = f(−z) and Π is the point reflection z → −z, so its
     kernel is Π times the fd1 kernel of g.  For an even f, and for an odd
     f in the two Dolbeault flavors, L[g] = S·L[f]·S with S = ±1 on the dz
-    block, and the kernel of g is S times that of f.  Each flavor's two
-    fd1 Laplacians are compared; where they agree to rounding the
-    eigensolve on g is skipped, and ``reflected_flavors`` names those
-    flavors."""
+    block (``_mirror_signs``), and the kernel of g is S times that of f.
+    There the eigensolve on g is skipped, and ``reflected_flavors`` names
+    those flavors; g's operators are built only for the others."""
     if backend != "fd1":
         raise PrecondError(f"derham_compare needs fd1, not {backend!r}")
+    if f is None:
+        raise PrecondError("derham_compare needs a potential f, not None")
     ops = Operators(grid, f, "fd1")
     describes, bases = {}, {}
     for flavor in _DERHAM_FLAVORS:
         res = eigensolve_lowest(f, grid, degree=1, k=DERHAM_K, backend="fd1",
                                 seed=seed, flavor=flavor, operators=ops)
         describes[flavor] = res.describe()
-        bases[flavor] = [_kernel_basis(res)]
+        bases[flavor] = [res.vectors[:, :res.kernel_dim]]
     phase = np.exp(-1j * ops.f_values.imag).ravel()
+    del ops  # its matrices are not needed during the solves on g
     n = grid.points ** 2
     reflected = []
-    g = _reflected(f)
-    mirror_ops = Operators(grid, g, "fd1")
-    signs = {flavor: _reflection_sign(
-        ops.laplacian_matrix(flavor, 1),
-        mirror_ops.laplacian_matrix(flavor, 1))
-        for flavor in _DERHAM_FLAVORS}
-    del ops  # its matrices are not needed during the solves on g
-    for flavor, sign in signs.items():
+    mirror = None
+    for flavor, sign in _mirror_signs(f).items():
         if sign is None:
-            K = _kernel_basis(eigensolve_lowest(
-                g, grid, degree=1, k=DERHAM_K, backend="fd1", seed=seed,
-                flavor=flavor, operators=mirror_ops))
+            if mirror is None:
+                mirror = Operators(grid, _reflected(f), "fd1")
+            res = eigensolve_lowest(
+                mirror.f, grid, degree=1, k=DERHAM_K, backend="fd1",
+                seed=seed, flavor=flavor, operators=mirror)
+            K = res.vectors[:, :res.kernel_dim]
         else:
             K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
             reflected.append(flavor)

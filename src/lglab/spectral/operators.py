@@ -24,8 +24,9 @@ Derivative backends:
 All three derivative matrices are Toeplitz, so P·D·P = Dᵀ with P the
 reversal of one axis.  With Π = P⊗P the point reflection z → −z,
 Π·Dz̄·Π = Dz̄ᵀ, and the degree-2 ``dbar_f`` Laplacian of f is
-conj(Π·L₀·Π), L₀ the degree-0 one of f(−z) (``analysis.SpectralContext``
-uses this).
+conj(Π·L₀·Π), L₀ the degree-0 one of f(−z).  Operators see f only
+through f′, and ``parity`` tells from f's exponents when f(−z) has
+derivative ±f′ (``analysis`` uses both).
 
 Every degree-raising operator used here is given by one block spec in
 ``_FLAVORS``, read as four component blocks:
@@ -102,6 +103,16 @@ def _sample(p: Polynomial, Z: np.ndarray) -> np.ndarray:
     for m, c in p.coeffs.items():
         out += complex(c) * (Z ** m[0] if m[0] else np.ones_like(Z))
     return out
+
+
+def parity(f: Polynomial | None) -> int | None:
+    """The parity of f's nonconstant exponents: +1 when all are even
+    (f(−z) = f), −1 when all are odd (f(−z) = 2f(0) − f, derivative −f′),
+    None when they are mixed.  f = None and a constant f count as even."""
+    odd = {sum(m) % 2 for m in f.coeffs if any(m)} if f is not None else set()
+    if len(odd) > 1:
+        return None
+    return -1 if odd == {1} else 1
 
 
 _DERIVATIVES = {

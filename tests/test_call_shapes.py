@@ -1,8 +1,10 @@
-"""The call shapes the benchmark under ``perfbench/`` makes into lglab.
+"""The call shapes the benchmark under ``perfbench/`` makes into lglab,
+and the attributes it reads from what they return.
 
 Each shape is bound against the current signature, so a change that
 drops or renames a parameter the benchmark passes fails here, in a
-second, rather than in a benchmark run.  Keep this list in step with
+second, rather than in a benchmark run; the attributes are read from one
+small eigensolve and one small context.  Keep both in step with
 ``perfbench/workloads.py``.
 """
 
@@ -10,9 +12,11 @@ import inspect
 
 import pytest
 
-from lglab.spectral import (SpectralContext, derham_compare,
-                            eigensolve_lowest, hodge_decompose,
-                            homotopy_identity_check, splitting_map)
+from lglab.poly import parse_polynomial
+from lglab.spectral import (DiscreteForm, Operators, SpectralContext,
+                            build_grid, derham_compare, eigensolve_lowest,
+                            hodge_decompose, homotopy_identity_check,
+                            splitting_map)
 from lglab.spectral.forms import random_smooth_form
 
 F, GRID, FORM, SELF = object(), object(), object(), object()
@@ -36,3 +40,18 @@ SHAPES = [
                          ids=[fn.__qualname__ for fn, _, _ in SHAPES])
 def test_benchmark_call_shape_binds(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_benchmark_reads_of_results_resolve():
+    f = parse_polynomial("z^2/2", ("z",))
+    grid = build_grid(4.0, 17)
+    res = eigensolve_lowest(f, grid, degree=1, k=6, backend="fd1", seed=3)
+    assert all(isinstance(phi, DiscreteForm) for phi in res.eigenforms)
+    assert len(res.eigenforms) == len(res.eigenvalues) == 6
+    assert isinstance(res.kernel_dim, int) and isinstance(res.reliable, bool)
+    ctx = SpectralContext(f, grid, backend="fd1", seed=3)
+    assert isinstance(ctx.ops, Operators)
+    assert ctx.ops.laplacian_matrix("dbar_f", 1).nnz > 0
+    assert Operators.sparse and ctx.ops.sparse
+    for d in (0, 1, 2):
+        assert len(ctx.eigensolve(d).eigenvalues) > 0

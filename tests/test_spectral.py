@@ -44,11 +44,9 @@ from lglab.spectral import analysis, operators
 from lglab.spectral.analysis import (
     _DERHAM_FLAVORS,
     SHIFT,
-    _equal_to_rounding,
     _factor,
-    _kernel_basis,
+    _mirror_signs,
     _reflected,
-    _reflection_sign,
 )
 from lglab.spectral.forms import (
     DEGREE_SECTORS,
@@ -64,6 +62,7 @@ from lglab.spectral.operators import (
     derivative_matrix_fd1,
     derivative_matrix_fd2,
     derivative_matrix_spectral,
+    parity,
 )
 from lglab.util import ComputeError, PrecondError
 
@@ -651,18 +650,33 @@ PARITY_TEXTS = ("z^2/2", "z^3/3", "z^4/4")
 MIXED_TEXT = "z^3/3+z^2/2"  # neither even nor odd
 
 
+def test_parity_reads_the_nonconstant_exponents():
+    cases = {"z^2/2": 1, "z^4/4+z^2": 1, "z^3/3": -1, "z^3/3+1": -1,
+             "z^5/5+2*z^3": -1, MIXED_TEXT: None, "z^2+z": None, "3": 1}
+    for text, expected in cases.items():
+        assert parity(Pz(text)) == expected, text
+    assert parity(None) == 1
+
+
+def _equal_to_rounding(A, B) -> bool:
+    """max|A − B| ≤ 1e-12·max|B|, for sparse or dense A, B: the reference
+    the exact parity rule is held against."""
+    return abs(A - B).max() <= 1e-12 * abs(B).max()
+
+
 def _point_reflect(M):
     """conj(Π·M·Π), Π the reversal of the flat index (z → −z)."""
     return M[::-1, ::-1].conj()
 
 
 @pytest.mark.parametrize("backend", sorted(operators._DERIVATIVES))
-@pytest.mark.parametrize("text", PARITY_TEXTS + (MIXED_TEXT,))
+@pytest.mark.parametrize("text", PARITY_TEXTS + (
+    MIXED_TEXT, "z^3/3+1", "z^5/5+2*z^3"))
 def test_degree2_laplacian_is_the_reflected_degree0_one_of_f_at_minus_z(
         backend, text):
-    # P·D·P = Dᵀ on every backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π); where
-    # |f′| is centrally symmetric L₀[f(−z)] = L₀[f] as well, and the
-    # context's check of that symmetry decides the same as the matrices
+    # P·D·P = Dᵀ on every backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π); for
+    # an f of one parity L₀[f(−z)] = L₀[f] as well, and the matrices agree
+    # with the context's exact rule both ways
     f = Pz(text)
     grid = build_grid(4.0, 21)
     ctx = SpectralContext(f, grid, backend=backend)
@@ -672,7 +686,8 @@ def test_degree2_laplacian_is_the_reflected_degree0_one_of_f_at_minus_z(
         _point_reflect(mirror.laplacian_matrix("dbar_f", 0)), L2)
     mirrored = _equal_to_rounding(
         _point_reflect(ctx.ops.laplacian_matrix("dbar_f", 0)), L2)
-    assert mirrored == ctx._mirrored == (text != MIXED_TEXT)
+    assert mirrored == ctx._mirrored == (parity(f) is not None)
+    assert mirrored == (text != MIXED_TEXT)
 
 
 def _count_factors_and_arpack_runs(monkeypatch) -> dict:
@@ -727,7 +742,7 @@ def test_context_kernel_matches_the_eigensolve_kernel(backend, points, text):
         assert K.shape[1] == res.kernel_dim
         assert np.max(np.abs(K.conj().T @ K - np.eye(K.shape[1])),
                       initial=0.0) <= 1e-12
-        angles = sla.subspace_angles(K, _kernel_basis(res))
+        angles = sla.subspace_angles(K, res.vectors[:, :res.kernel_dim])
         assert np.max(angles, initial=0.0) <= 1e-12
 
 
@@ -1056,6 +1071,8 @@ def _potential(coeffs):
 
 
 def _random_potential(data, parity, complex_coeffs):
+    """A potential of the named parity of its nonconstant exponents; a
+    constant term, drawn or not, leaves that parity as it is."""
     part = st.integers(-4, 4).filter(bool)
     coeff = (st.builds(complex, part, part) if complex_coeffs
              else st.builds(Fraction, part, st.integers(1, 6)))
@@ -1064,6 +1081,8 @@ def _random_potential(data, parity, complex_coeffs):
     odds = data.draw(st.lists(st.sampled_from([1, 3, 5]), min_size=1,
                               unique=True))
     exponents = {"even": evens, "odd": odds, "mixed": evens + odds}[parity]
+    if data.draw(st.booleans()):
+        exponents = exponents + [0]
     return _potential({k: data.draw(coeff) for k in exponents})
 
 
@@ -1108,25 +1127,37 @@ def test_backward_laplacian_is_the_reflected_laplacian_of_f_at_minus_z(
                     <= 1e-14 * abs(M_bwd).max()), (str(f), flavor, degree)
 
 
+def _sign_dz(sign, m):
+    """S = diag(sign on the dz block, 1 on dz̄) on the degree-1 sector."""
+    return sp.diags(np.repeat([float(sign), 1.0], m * m))
+
+
 @settings(max_examples=60, deadline=None)
 @given(**POTENTIALS)
 def test_fd1b_laplacian_is_the_point_reflection_where_parity_allows(
         data, parity, complex_coeffs, m, half_width):
+    # the exact rule's sign per flavor against the matrices of f and
+    # f(−z): where it gives a sign they agree under it, and where it
+    # gives None neither sign makes them agree
     f = _random_potential(data, parity, complex_coeffs)
     grid = build_grid(half_width, m)
     fwd = Operators(grid, f, "fd1")
     mirror = Operators(grid, _reflected(f), "fd1")
     bwd = _backward_operators(grid, f)
     flip = _point_reflection(1, m)
+    signs = _mirror_signs(f)
     for flavor in _DERHAM_FLAVORS:
         M_fwd = fwd.laplacian_matrix(flavor, 1)
-        sign = _reflection_sign(M_fwd, mirror.laplacian_matrix(flavor, 1))
+        M_mirror = mirror.laplacian_matrix(flavor, 1)
+        agree = {s for s in (1, -1) if _equal_to_rounding(
+            _sign_dz(s, m) @ M_fwd @ _sign_dz(s, m), M_mirror)}
+        sign = signs[flavor]
         holds = parity == "even" or (parity == "odd" and flavor != "d_f")
         if not holds:
-            assert sign is None, (str(f), flavor)
+            assert sign is None and not agree, (str(f), flavor)
             continue
-        assert sign is not None, (str(f), flavor)
-        S = sp.diags(np.repeat([sign, 1.0], m * m))
+        assert sign in agree, (str(f), flavor)
+        S = _sign_dz(sign, m)
         mirrored = (S @ M_fwd @ S)[flip][:, flip]
         M_bwd = bwd.laplacian_matrix(flavor, 1)
         assert abs(M_bwd - mirrored).max() <= 1e-12 * abs(M_bwd).max()
@@ -1141,7 +1172,7 @@ def test_reflected_fd1b_kernels_give_the_solved_report(f, grid, reflected,
                                                       monkeypatch):
     grid = build_grid(*grid)
     fast = derham_compare(f, grid, backend="fd1")
-    monkeypatch.setattr(analysis, "_reflection_sign", lambda *mats: None)
+    monkeypatch.setattr(analysis, "parity", lambda f: None)
     solved = derham_compare(f, grid, backend="fd1")
     assert fast["reflected_flavors"] == reflected
     assert solved["reflected_flavors"] == []
@@ -1171,6 +1202,38 @@ def test_derham_report_matches_the_golden_file(text, half_width, points,
         assert report[key] == golden[key], key
     assert abs(report["max_angle_degrees"]
                - golden["max_angle_degrees"]) <= 1e-12
+
+
+@pytest.mark.parametrize("text, mirrored", [
+    ("z^2/2", set()),
+    ("z^3/3", {("d_f", 1)}),
+    (MIXED_TEXT, {(flavor, 1) for flavor in _DERHAM_FLAVORS}),
+])
+def test_derham_builds_only_the_laplacians_of_f_at_minus_z_it_solves(
+        text, mirrored, monkeypatch):
+    # the parity rule decides without matrices, so f(−z) gets a Laplacian
+    # only for a flavor whose kernel is solved on it
+    f = Pz(text)
+    built = set()
+    laplacian_matrix = Operators.laplacian_matrix
+
+    def counted(self, flavor, degree):
+        if self.f is not f:
+            built.add((flavor, degree))
+        return laplacian_matrix(self, flavor, degree)
+
+    monkeypatch.setattr(Operators, "laplacian_matrix", counted)
+    derham_compare(f, build_grid(4.0, 25), backend="fd1")
+    assert built == mirrored
+
+
+def test_derham_compare_refuses_a_missing_potential(monkeypatch):
+    built = []
+    monkeypatch.setattr(Operators, "laplacian_matrix",
+                        lambda self, *key: built.append(key))
+    with pytest.raises(PrecondError, match="potential"):
+        derham_compare(None, build_grid(4.0, 17), backend="fd1")
+    assert built == []
 
 
 def test_a_potential_of_neither_parity_solves_both_orientations():
@@ -1228,6 +1291,7 @@ def test_harmonic_profile_csv_requires_an_eigenform():
         f_text="z^2/2", flavor="dbar_f", degree=1, backend="fd1",
         half_width=grid.half_width, points=grid.points, gap_threshold=1e-3,
         eigenvalues=[], residuals=[], kernel_dim=0, gap=None,
-        certified=False, reliable=False, notes=[], eigenforms=[])
+        certified=False, reliable=False, notes=[],
+        vectors=np.zeros((2 * 33 * 33, 0), dtype=complex))
     with pytest.raises(ComputeError):
         write_harmonic_profile_csv(empty)
