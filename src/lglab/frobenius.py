@@ -229,8 +229,6 @@ class FrobeniusData:
     unfolding: Unfolding
     nt: int
     eta0: list[list[Fraction]]
-    metric_t: list[list[Polynomial]]
-    structure_t: list[list[list[Polynomial]]]
     t_of_s: list[Polynomial]
     s_of_t: list[Polynomial]
     potential: Polynomial          # in flat coordinates, order nt + 3
@@ -429,8 +427,7 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
     if U.ring.weights is not None:
         euler = [Fraction(1) - U.ring.weights.degree(m) for m in U.phis]
 
-    return FrobeniusData(U, nt, eta0, eta_t, c_t, t_of_s, s_of_t,
-                         potential, euler)
+    return FrobeniusData(U, nt, eta0, t_of_s, s_of_t, potential, euler)
 
 
 def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:

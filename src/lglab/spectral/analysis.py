@@ -24,12 +24,13 @@ set together; minimum degree with partial pivoting factors several
 times slower.  All randomness is seeded, and eigenvector phases are
 normalized, so repeated runs give identical output.
 
-A ``SpectralContext`` reads no eigenvalues, only the kernel that a
-Hodge split projects onto and a Green solve deflates, so its kernels
-skip ARPACK.  Block inverse iteration on the same shifted factor
-(``_kernel_by_inverse_iteration``) reaches that kernel to rounding in
-two to four solves on a block of eight columns, where a k = 8 ARPACK
-window takes 48–76 single solves (fd1 at 65², z²/2 to z⁴/4).
+ARPACK runs only where a spectrum is reported.  A ``SpectralContext``
+reads no eigenvalues, only the kernels its Hodge splits and Green solves
+use, and ``derham_compare`` reads none of f(−z).  Those kernels come from
+block inverse iteration on a shifted factor
+(``_kernel_by_inverse_iteration``): two to four solves on a block of
+eight columns, where a k = 8 ARPACK window takes 48–76 single solves
+(fd1 at 65², z²/2 to z⁴/4).  Both end in one ``_rayleigh_ritz`` step.
 
 Degree 2 is degree 0 under the point reflection Π: z → −z.  Every
 backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π) (see ``operators``), and
@@ -46,8 +47,8 @@ OpenBLAS builds with separate thread pools, and SuperLU and ARPACK run
 on SciPy's.  A threaded NumPy call leaves NumPy's worker spinning
 afterwards, and the next factorization shares the cores with it: on
 two cores an fd1 65² factor took 0.16 s instead of 0.09 s right
-after one ``np.linalg.qr`` of an 8450×8 block.  Products with a k × k
-result are too small to be threaded and stay on NumPy.
+after one ``np.linalg.qr`` of an 8450×8 block.  Only the k × k
+products of ``_paired_subspace``, too small to thread, stay on NumPy.
 """
 
 from __future__ import annotations
@@ -133,6 +134,16 @@ def _factor(M: sp.csr_matrix, dense: bool = False):
     return lambda b: sla.lu_solve(lu, b)
 
 
+def _rayleigh_ritz(M, X: np.ndarray):
+    """Ritz pairs of Hermitian M in span(X), values ascending; overwrites X."""
+    Q = sla.qr(X, mode="economic", overwrite_a=True)[0]
+    H = _gemm(Q, M @ Q, trans=2)
+    # driver="evd" (LAPACK heevd) is np.linalg.eigh's routine: inside a
+    # degenerate cluster the basis it picks is the one reported
+    vals, V = sla.eigh(0.5 * (H + H.conj().T), driver="evd")
+    return vals, _gemm(Q, V)
+
+
 def _lowest_pairs(M, solve, k: int, seed: int):
     """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending),
     with ``solve`` the ``_factor`` solver of M.
@@ -156,18 +167,12 @@ def _lowest_pairs(M, solve, k: int, seed: int):
         if vals.size == 0:
             raise ComputeError(
                 "eigensolver failed to converge on any pair") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order].real, vecs[:, order]
     # The general-mode Arnoldi solver returns linearly independent but
     # not mutually orthogonal vectors inside (near-)degenerate clusters.
     # One Rayleigh-Ritz pass over the returned span restores
     # orthonormality to rounding without leaving the span.
-    Q, _ = sla.qr(vecs, mode="economic")
-    H = Q.conj().T @ (M @ Q)
-    # driver="evd" (LAPACK heevd) is np.linalg.eigh's routine: inside a
-    # degenerate cluster the basis it picks is the one reported
-    vals, V = sla.eigh(0.5 * (H + H.conj().T), driver="evd")
-    vecs = _fix_phase(_gemm(Q, V))
+    vals, vecs = _rayleigh_ritz(M, vecs[:, np.argsort(vals)])
+    vecs = _fix_phase(vecs)
     R = M @ vecs - vecs * vals
     res = [float(r) for r in sla.norm(R, axis=0)]
     return np.maximum(vals, 0.0), vecs, res, k
@@ -244,15 +249,12 @@ def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     K = None
     for _ in range(KERNEL_ITERATIONS):
-        X = sla.qr(solve(X), mode="economic", overwrite_a=True)[0]
-        H = _gemm(X, M @ X, trans=2)
-        vals, V = sla.eigh(0.5 * (H + H.conj().T), driver="evd")
+        vals, X = _rayleigh_ritz(M, solve(X))
         kept = int(np.sum(vals < DEFAULT_GAP_THRESHOLD))
         if kept == len(vals):
             raise ComputeError(
                 f"all {kept} Ritz values of the kernel block sit below the "
                 "threshold; the kernel may be larger than the block")
-        X = _gemm(X, V)
         previous, K = K, X[:, :kept]
         if (previous is not None and previous.shape == K.shape
                 and sla.norm(K - _project(previous, K)) <= KERNEL_TOL):
@@ -262,7 +264,7 @@ def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
 
 
 def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
-                      k: int = 8, backend: str = "fd2", seed: int = 7,
+                      k: int = 8, backend: str = "fd1", seed: int = 7,
                       gap_threshold: float = DEFAULT_GAP_THRESHOLD,
                       flavor: str = CONTEXT_FLAVOR,
                       operators: Operators | None = None) -> SpectralResult:
@@ -378,7 +380,7 @@ class SpectralContext:
     memory than the one later factorization it would save."""
 
     def __init__(self, f: Polynomial | None, grid: Grid,
-                 backend: str = "fd2", seed: int = 7):
+                 backend: str = "fd1", seed: int = 7):
         self.f = f
         self.grid = grid
         self.backend = backend
@@ -467,7 +469,7 @@ class HodgeSplit:
 
 
 def hodge_decompose(f: Polynomial | None, grid: Grid, form: DiscreteForm,
-                    backend: str = "fd2",
+                    backend: str = "fd1",
                     context: SpectralContext | None = None) -> HodgeSplit:
     """Split a form into harmonic, twisted-exact and twisted-coexact
     parts, degree sector by degree sector.
@@ -797,9 +799,11 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     Laplacian of g = f(−z) and Π is the point reflection z → −z, so its
     kernel is Π times the fd1 kernel of g.  For an even f, and for an odd
     f in the two Dolbeault flavors, L[g] = S·L[f]·S with S = ±1 on the dz
-    block (``_mirror_signs``), and the kernel of g is S times that of f.
-    There the eigensolve on g is skipped, and ``reflected_flavors`` names
-    those flavors; g's operators are built only for the others."""
+    block (``_mirror_signs``), and the kernel of g is S times that of f;
+    ``reflected_flavors`` names those flavors.  For the others g's kernel,
+    whose eigenvalues no report reads, comes from block inverse iteration
+    on a factor of L[g] dropped once it is back, not from an eigensolve,
+    and fails if it fills the block; only these build g's operators."""
     if backend != "fd1":
         raise PrecondError(f"derham_compare needs fd1, not {backend!r}")
     if f is None:
@@ -820,10 +824,8 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
         if sign is None:
             if mirror is None:
                 mirror = Operators(grid, _reflected(f), "fd1")
-            res = eigensolve_lowest(
-                mirror.f, grid, degree=1, k=DERHAM_K, backend="fd1",
-                seed=seed, flavor=flavor, operators=mirror)
-            K = res.vectors[:, :res.kernel_dim]
+            M = mirror.laplacian_matrix(flavor, 1)
+            K = _kernel_by_inverse_iteration(M, _factor(M), seed)
         else:
             K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
             reflected.append(flavor)

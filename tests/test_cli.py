@@ -270,6 +270,17 @@ def test_spectrum_exports_tables_and_kernel_count(tmp_path, capsys):
         assert (tmp_path / name).read_bytes().endswith(b"\r\n")
 
 
+def test_spectrum_prints_an_uncertified_count_with_its_warnings(capsys):
+    # a threshold above every computed eigenvalue leaves no gap to certify
+    assert main(["spectrum", "z^2/2", "--grid", "33", "--tol", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "certified: False" in out
+    assert ("warning: spectral:eigensolve all computed eigenvalues sit below "
+            "the threshold; raise k") in out
+    assert ("warning: spectral:eigensolve kernel count not certified; "
+            "see notes") in out
+
+
 def test_spectrum_puts_its_tables_into_the_report(tmp_path):
     plots = tmp_path / "plots"
     report = execute_command(parse_config(

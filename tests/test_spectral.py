@@ -475,6 +475,16 @@ def test_cubic_potential_has_a_two_dimensional_kernel():
     assert res.gap >= 1.5
 
 
+@pytest.mark.parametrize("f, mu", [(F2, 1), (F3, 2)])
+def test_default_backend_counts_the_milnor_number(f, mu):
+    # fd2 doubles every kernel on its even/odd comb and would certify 2μ
+    grid = build_grid(4.0, 65)
+    res = eigensolve_lowest(f, grid)
+    assert res.backend == "fd1"
+    assert res.kernel_dim == mu and res.certified and res.reliable
+    assert SpectralContext(f, grid).kernel_matrix(1).shape[1] == mu
+
+
 def test_eigenforms_come_back_orthonormal():
     grid = build_grid(4.0, 65)
     res = eigensolve_lowest(F3, grid, degree=1, k=6, backend="fd1")
@@ -1193,9 +1203,20 @@ GOLDEN = Path(__file__).parent / "golden"
     ("z^3/3+z^2/2", 4.0, 49, "derham_z3z2_4_49.json"),
 ])
 def test_derham_report_matches_the_golden_file(text, half_width, points,
-                                               name):
+                                               name, monkeypatch):
+    calls = []
+    eigsh = spla.eigsh
+
+    def counted(M, **kw):
+        calls.append(M.shape)
+        return eigsh(M, **kw)
+
+    monkeypatch.setattr(spla, "eigsh", counted)
     report = derham_compare(Pz(text), build_grid(half_width, points),
                             backend="fd1")
+    # one eigensolve per flavor on f; none on f(−z), whose kernel alone
+    # is read
+    assert len(calls) == 3
     golden = json.loads((GOLDEN / name).read_text())
     for key in ("dolbeault", "mid", "derham", "dolbeault_dim",
                 "derham_dim", "dims_agree", "reflected_flavors"):
@@ -1234,6 +1255,14 @@ def test_derham_compare_refuses_a_missing_potential(monkeypatch):
     with pytest.raises(PrecondError, match="potential"):
         derham_compare(None, build_grid(4.0, 17), backend="fd1")
     assert built == []
+
+
+def test_a_mirror_kernel_that_fills_the_block_fails(monkeypatch):
+    # the f(−z) kernels of z³/3+z²/2 are 2-dimensional: a 2-column block
+    # cannot tell them complete
+    monkeypatch.setattr(analysis, "KERNEL_BLOCK", 2)
+    with pytest.raises(ComputeError, match="larger than the block"):
+        derham_compare(Pz(MIXED_TEXT), build_grid(4.0, 49), backend="fd1")
 
 
 def test_a_potential_of_neither_parity_solves_both_orientations():
