@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .brieskorn import BrieskornLattice
-from .ellipticity import (check_laurent_nondegenerate,
+from .ellipticity import (_quasihomogeneous_report, check_laurent_nondegenerate,
                           check_quasihomogeneous_ellipticity,
                           growth_table_csv, numeric_growth_table)
 from .frobenius import (build_flat_potential, truncate, universal_unfolding,
@@ -259,7 +259,7 @@ def _cmd_analyze(cfg: RunConfig) -> Report:
             results["milnor_number"] = ring.mu
             results["monomial_basis"] = [
                 str(Polynomial.monomial(m, 1, f.names)) for m in ring.basis]
-        ell = check_quasihomogeneous_ellipticity(f)
+        ell = _quasihomogeneous_report(f, ring)
     else:
         results["milnor_number"] = None
         results["monomial_basis"] = []

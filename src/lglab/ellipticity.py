@@ -63,6 +63,12 @@ def growth_exponents(weights: WeightSystem) -> tuple[tuple[Fraction, ...], bool]
 def check_quasihomogeneous_ellipticity(f: Polynomial) -> EllipticityReport:
     """Exact sufficient criterion: weighted-homogeneous of total weight 1
     with all weights <= 1/2 and finite Milnor number."""
+    return _quasihomogeneous_report(f, None)
+
+
+def _quasihomogeneous_report(f: Polynomial, ring) -> EllipticityReport:
+    """The quasi-homogeneous verdict, with ``ring`` f's ``MilnorRing`` when
+    the caller already has it, or None to compute it once the weights pass."""
     if f.mode != "poly":
         raise PrecondError("quasi-homogeneous route needs polynomial mode")
     weights = infer_weights(f)
@@ -73,7 +79,7 @@ def check_quasihomogeneous_ellipticity(f: Polynomial) -> EllipticityReport:
         nm, q = bad[0]
         return EllipticityReport(UNKNOWN, f"weight of {nm} is {q} > 1/2",
                                  {"weights": weights.q})
-    ring = milnor_ring(f)
+    ring = ring if ring is not None else milnor_ring(f)
     if ring.mu == math.inf:
         return EllipticityReport(UNKNOWN, "critical locus is positive-dimensional",
                                  {"weights": weights.q})
@@ -313,10 +319,11 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
 
     Exact in every dimension: each face system is decided by a Groebner
     basis with a Rabinowitsch variable, so the verdict is Satisfied or
-    Violated.  On the first violated face a Newton search seeded by
-    ``seed`` looks for a witness; it never decides the verdict, and when
-    it finds no checked torus point the witness is None.  A convenient
-    Newton polytope is a precondition.
+    Violated.  Faces are decided in order, and the check stops at the
+    first violated one, where a Newton search seeded by ``seed`` looks for
+    a witness; it never decides the verdict, and when it finds no checked
+    torus point the witness is None.  A convenient Newton polytope is a
+    precondition.
     """
     if f.mode != "laurent":
         f = Polynomial(dict(f.coeffs), f.names, "laurent")
@@ -324,16 +331,10 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
     if not poly.convenient:
         raise PrecondError("Newton polytope does not contain the origin "
                            "strictly in its interior")
-    per_face = []
+    details = {"dim": poly.dim, "vertices": poly.vertices}
     for face in poly.faces:
         system = _face_system(f, face)
-        empty = _torus_system_is_empty(system, f.names)
-        per_face.append((face, system, SATISFIED if empty else VIOLATED))
-
-    details = {"faces": [(list(face.points), verdict) for face, _, verdict in per_face],
-               "dim": poly.dim, "vertices": poly.vertices}
-    for face, system, verdict in per_face:
-        if verdict == VIOLATED:
+        if not _torus_system_is_empty(system, f.names):
             witness = _torus_witness(system, f.nvars, seed)
             reason = f"face {list(face.points)} has a torus solution"
             if witness is None:

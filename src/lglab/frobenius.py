@@ -226,11 +226,12 @@ def _metric_and_structure(U: Unfolding, nt: int):
 
 @dataclass
 class FrobeniusData:
+    """The constant metric ``eta0``, the flat coordinates t(s) and the
+    potential in those coordinates, all to t-order ``nt``."""
     unfolding: Unfolding
     nt: int
     eta0: list[list[Fraction]]
     t_of_s: list[Polynomial]
-    s_of_t: list[Polynomial]
     potential: Polynomial          # in flat coordinates, order nt + 3
     euler_degrees: list[Fraction] | None
 
@@ -401,21 +402,6 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
     if any(final[a, b] != Polynomial.constant(eta0[a][b], snames) for a, b in pairs):
         raise ComputeError("metric flattening failed verification")
 
-    # inverse coordinate change by fixed-point iteration
-    h_parts = [t_of_s[a] - Polynomial.variable(a, snames) for a in range(mu)]
-    s_of_t = [Polynomial.variable(a, U.tnames) for a in range(mu)]
-    for _ in range(nt + 1):
-        new = [Polynomial.variable(a, U.tnames) - h_parts[a].subs_trunc(s_of_t, nt)
-               for a in range(mu)]
-        if new == s_of_t:
-            break
-        s_of_t = new
-    # compared at order >= 1: at nt = 0 truncation would drop the linear terms
-    for a in range(mu):
-        if (t_of_s[a].subs_trunc(s_of_t, max(nt, 1)) !=
-                Polynomial.variable(a, U.tnames)):
-            raise ComputeError("coordinate change failed to invert")
-
     # lowered structure constants: the residue of a triple product, so the
     # tensor is totally symmetric and one sorted triple stands for all
     lowered = {(p, q, r): sum((c_t[p][q][e].mul_trunc(eta_t[e][r], nt)
@@ -427,7 +413,7 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
     if U.ring.weights is not None:
         euler = [Fraction(1) - U.ring.weights.degree(m) for m in U.phis]
 
-    return FrobeniusData(U, nt, eta0, t_of_s, s_of_t, potential, euler)
+    return FrobeniusData(U, nt, eta0, t_of_s, potential, euler)
 
 
 def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:

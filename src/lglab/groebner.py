@@ -100,6 +100,17 @@ def divide(g: Polynomial, divisors: list[Polynomial]) -> tuple[list[Polynomial],
             Polynomial._trusted(rem, names, mode))
 
 
+def _combined_row(row: list[Polynomial], qs: list[Polynomial],
+                  rows: list[list[Polynomial]]) -> list[Polynomial]:
+    """row + sum_k qs[k] * rows[k] over the nonzero qs[k].  With ``row``
+    the cofactor row of a division's dividend and ``qs`` its quotients
+    negated, this is the cofactor row of the remainder."""
+    for q, other in zip(qs, rows):
+        if not q.is_zero():
+            row = [a + q * b for a, b in zip(row, other)]
+    return row
+
+
 # -- Buchberger with cofactors ------------------------------------------------
 
 
@@ -121,15 +132,8 @@ class GroebnerBasis:
                                    ) -> tuple[Polynomial, list[Polynomial]]:
         """Return (r, a) with g = r + sum_i a_i * generators[i]."""
         qs, r = divide(g, self.elements)
-        n = len(self.generators)
-        names, mode = g.names, g.mode
-        a = [Polynomial.zero(names, mode) for _ in range(n)]
-        for k, q in enumerate(qs):
-            if q.is_zero():
-                continue
-            for i in range(n):
-                a[i] = a[i] + q * self.cofactors[k][i]
-        return r, a
+        zeros = [Polynomial.zero(g.names, g.mode)] * len(self.generators)
+        return r, _combined_row(zeros, qs, self.cofactors)
 
     def contains_one(self) -> bool:
         return any(leading_term(e)[0] == tuple(0 for _ in e.names)
@@ -195,10 +199,8 @@ def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
         if r.is_zero():
             continue
         # most S-polynomials reduce to zero: form cofactors only for the rest
-        cof_s = [ti * a - tj * b for a, b in zip(cofs[i], cofs[j])]
-        for k, q in enumerate(qs):
-            if not q.is_zero():
-                cof_s = [a - q * b for a, b in zip(cof_s, cofs[k])]
+        cof_s = _combined_row([ti * a - tj * b for a, b in zip(cofs[i], cofs[j])],
+                              [-q for q in qs], cofs)
         _, lc = leading_term(r)
         inv = Fraction(1) / lc
         add(r * inv, [a * inv for a in cof_s])
@@ -213,19 +215,12 @@ def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
     basis = [basis[k] for k in keep]
     cofs = [cofs[k] for k in keep]
 
-    # full reduction of each element against the others
+    # full reduction against the others; each remainder keeps its leading term
     reduced: list[Polynomial] = []
     reduced_cofs: list[list[Polynomial]] = []
     for k in range(len(basis)):
-        others = basis[:k] + basis[k + 1:]
-        other_cofs = cofs[:k] + cofs[k + 1:]
-        qs, r = divide(basis[k], others)
-        if r.is_zero():
-            continue
-        cof_r = list(cofs[k])
-        for t, q in enumerate(qs):
-            if not q.is_zero():
-                cof_r = [a - q * b for a, b in zip(cof_r, other_cofs[t])]
+        qs, r = divide(basis[k], basis[:k] + basis[k + 1:])
+        cof_r = _combined_row(cofs[k], [-q for q in qs], cofs[:k] + cofs[k + 1:])
         _, lc = leading_term(r)
         inv = Fraction(1) / lc
         reduced.append(r * inv)

@@ -304,7 +304,10 @@ def _spectrum(ops: Operators, flavor: str, degree: int, k: int, seed: int,
     notes: list[str] = []
 
     kernel_dim = int(np.sum(vals < gap_threshold))
-    certified = True
+    certified = ops.backend != "fd2"
+    if not certified:
+        notes.append("fd2 decouples the even and odd grid combs and counts "
+                     "each kernel vector twice; kernel count not certified")
     if len(vals_list) < wanted:
         # a gap seen among the pairs that did converge says nothing about
         # the ones that did not
@@ -375,9 +378,10 @@ class SpectralContext:
     0's eigenvalues, residuals and certification.  Otherwise (f of
     neither parity) degree 2 is solved directly.  Kernels and
     eigensolves in degrees 0 and 2 run through the cached factors, so a
-    Green solve after them factors nothing; the degree-1 factor is made
-    per kernel or eigensolve and dropped, since keeping it costs more
-    memory than the one later factorization it would save."""
+    Green solve after them factors nothing.  ``solver`` owns that rule:
+    the degree-1 factor is made per kernel, eigensolve or Green solve and
+    dropped, since keeping it costs more memory than the one later
+    factorization it would save."""
 
     def __init__(self, f: Polynomial | None, grid: Grid,
                  backend: str = "fd1", seed: int = 7):
@@ -405,12 +409,8 @@ class SpectralContext:
                 residuals=list(res.residuals), notes=list(res.notes),
                 vectors=_reflect(res.vectors))
         else:
-            result = _spectrum(
-                self.ops, CONTEXT_FLAVOR, degree, k, self.seed,
-                DEFAULT_GAP_THRESHOLD,
-                _factor(self.ops.laplacian_matrix(CONTEXT_FLAVOR, 1),
-                        self.ops.dense_factor)
-                if degree == 1 else self.solver(degree))
+            result = _spectrum(self.ops, CONTEXT_FLAVOR, degree, k, self.seed,
+                               DEFAULT_GAP_THRESHOLD, self.solver(degree))
         self._eig[degree] = result
         return result
 
@@ -420,17 +420,18 @@ class SpectralContext:
                 self._kernel[2] = _reflect(self.kernel_matrix(0))
             else:
                 _require_twist(self.f)
-                M = self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree)
-                solve = (_factor(M, self.ops.dense_factor) if degree == 1
-                         else self.solver(degree))
                 self._kernel[degree] = _kernel_by_inverse_iteration(
-                    M, solve, self.seed)
+                    self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree),
+                    self.solver(degree), self.seed)
         return self._kernel[degree]
 
     def solver(self, degree: int):
+        """Degrees 0 and 2: the cached factor; degree 1: a new one per call."""
+        if degree == 1:
+            return _factor(self.ops.laplacian_matrix(CONTEXT_FLAVOR, 1),
+                           self.ops.dense_factor)
         if degree not in self._solve:
-            twin = (self._solve.get(2 - degree)
-                    if self._mirrored and degree != 1 else None)
+            twin = self._solve.get(2 - degree) if self._mirrored else None
             if twin is not None:
                 self._solve[degree] = lambda b: _reflect(twin(_reflect(b)))
             else:
@@ -586,10 +587,6 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
 def pairing_series(alpha, beta, twist: bool = True) -> list:
     """Formal-parameter expansion of the residue-type pairing of two
     u-series of forms: coefficient k collects Σ_{i+j=k} (−1)^j ∫αᵢ∧β̃ⱼ."""
-    if isinstance(alpha, DiscreteForm):
-        alpha = [alpha]
-    if isinstance(beta, DiscreteForm):
-        beta = [beta]
     if not alpha or not beta:
         raise PrecondError("pairing needs at least one coefficient per side")
     out = [0j] * (len(alpha) + len(beta) - 1)

@@ -17,15 +17,14 @@ from ..util import PrecondError
 class Grid:
     """Square grid: m points per axis spanning [-R, R], spacing h."""
 
-    __slots__ = ("half_width", "points", "h", "axis", "x", "y", "z")
+    __slots__ = ("half_width", "points", "h", "axis", "z")
 
     def __init__(self, half_width: float, points: int):
         self.half_width = float(half_width)
         self.points = int(points)
         self.h = 2.0 * self.half_width / (self.points - 1)
         self.axis = np.linspace(-self.half_width, self.half_width, self.points)
-        self.x, self.y = np.meshgrid(self.axis, self.axis, indexing="ij")
-        self.z = self.x + 1j * self.y
+        self.z = self.axis[:, None] + 1j * self.axis[None, :]
 
     def __eq__(self, other):
         return (isinstance(other, Grid) and
@@ -34,10 +33,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(R={self.half_width}, m={self.points}, h={self.h:.6g})"
-
-    def sample(self, fn) -> np.ndarray:
-        """Sample a callable of the complex coordinate on the grid."""
-        return np.asarray(fn(self.z), dtype=complex)
 
 
 def build_grid(half_width: float, points: int) -> Grid:

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lglab import groebner
+from lglab import cli, groebner
 from lglab.cli import (UsageError, _check_hodge, _check_truncated_arithmetic,
                        execute_command, main, parse_config)
-from lglab.poly import Polynomial
+from lglab.ellipticity import check_quasihomogeneous_ellipticity
+from lglab.poly import Polynomial, parse_polynomial
 from lglab.spectral import SpectralContext
 
 
@@ -225,6 +226,73 @@ def test_analyze_flags_a_non_isolated_critical_locus(tmp_path, capsys):
     assert report["results"]["milnor_number"] == "infinite"
     assert report["results"]["monomial_basis"] == []
     assert any(w.startswith("groebner:") for w in report["warnings"])
+
+
+@pytest.mark.parametrize("text, verdict, witness", [
+    ("z+2+z^-1", "Violated", [[-1.0, 0.0]]),
+    ("x+y+w+x^-1*y^-1*w^-1", "Satisfied", None)])
+def test_analyze_reports_the_laurent_torus_check(text, verdict, witness,
+                                                 tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["analyze", text, "--laurent", "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = json.loads(out.read_text())["results"]
+    assert results["ring"] == "laurent"
+    assert results["milnor_number"] is None
+    assert results["monomial_basis"] == []
+    assert results["ellipticity"]["verdict"] == verdict
+    assert results["ellipticity"]["witness"] == witness
+
+
+def test_analyze_writes_the_growth_table(tmp_path, capsys):
+    assert main(["analyze", "z^2/2", "--plot-dir", str(tmp_path)]) == 0
+    table = tmp_path / "growth_table.csv"
+    assert f"plot data written to {table}" in capsys.readouterr().out
+    rows = table.read_text().splitlines()
+    assert rows[0] == "k,radius,min_margin"
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        [str(k), str(r)] for k in (2, 3) for r in (2.0, 4.0, 8.0, 16.0, 32.0)]
+
+
+def test_analyze_computes_the_milnor_ring_once(monkeypatch, tmp_path, capsys):
+    # the ring behind the reported basis also decides the quasi-homogeneous
+    # verdict; on its own, the check answers Unknown from the weights alone
+    calls = []
+    basis = groebner.groebner_basis
+
+    def counted(gens):
+        calls.append(len(gens))
+        return basis(gens)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "x^3+y^3+w^3", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["milnor_number"] == 8
+    assert results["ellipticity"]["verdict"] == "Satisfied"
+    assert calls == [3]
+    for text in ("x*y+y^4", "x^2+x^3"):
+        f = parse_polynomial(text, ("x", "y"))
+        assert check_quasihomogeneous_ellipticity(f).verdict == "Unknown"
+    assert calls == [3]
+
+
+def test_verify_records_a_check_that_raises(monkeypatch, tmp_path, capsys):
+    def broken():
+        raise RuntimeError("no ring")
+
+    monkeypatch.setattr(cli, "_check_milnor_numbers", broken)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--out", str(out)]) == 1
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["exit_status"] == 1
+    assert report["results"]["all_passed"] is False
+    failed = [c for c in report["results"]["checks"] if not c["passed"]]
+    assert failed == [{"check": "groebner:milnor-number", "passed": False,
+                       "detail": "RuntimeError: no ring"}]
+    assert ("groebner:milnor-number failed: RuntimeError: no ring"
+            in report["warnings"])
 
 
 def test_pairing_reports_the_antidiagonal_matrix(tmp_path, capsys):

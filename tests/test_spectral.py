@@ -91,14 +91,7 @@ def test_grid_spacing_is_exact_for_binary_sizes():
 
 def test_grid_meshes_follow_axis_ordering():
     grid = build_grid(3.0, 17)
-    assert grid.x[3, 5] == grid.axis[3]
-    assert grid.y[3, 5] == grid.axis[5]
     assert grid.z[3, 5] == grid.axis[3] + 1j * grid.axis[5]
-
-
-def test_grid_sample_evaluates_on_the_complex_coordinate():
-    grid = build_grid(3.0, 17)
-    assert np.array_equal(grid.sample(lambda z: z ** 2), grid.z ** 2)
 
 
 def test_refine_halves_spacing_and_keeps_points():
@@ -475,6 +468,14 @@ def test_cubic_potential_has_a_two_dimensional_kernel():
     assert res.gap >= 1.5
 
 
+@pytest.mark.parametrize("f, doubled", [(F2, 2), (F3, 4)])
+def test_fd2_eigensolve_reports_but_never_certifies_its_kernel(f, doubled):
+    res = eigensolve_lowest(f, build_grid(4.0, 65), backend="fd2")
+    assert res.kernel_dim == doubled
+    assert not res.certified and not res.reliable
+    assert any("even and odd grid combs" in note for note in res.notes)
+
+
 @pytest.mark.parametrize("f, mu", [(F2, 1), (F3, 2)])
 def test_default_backend_counts_the_milnor_number(f, mu):
     # fd2 doubles every kernel on its even/odd comb and would certify 2μ
@@ -653,6 +654,7 @@ def test_context_caches_kernels_solvers_and_spectra():
     ctx = SpectralContext(F2, build_grid(4.0, 33), backend="fd1")
     assert ctx.kernel_matrix(1) is ctx.kernel_matrix(1)
     assert ctx.solver(2) is ctx.solver(2)
+    assert ctx.solver(1) is not ctx.solver(1)  # degree 1 is never cached
     assert ctx.eigensolve(1, k=4) is ctx.eigensolve(1, k=4)
 
 
