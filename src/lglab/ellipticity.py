@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groebner import groebner_basis, milnor_ring
-from .poly import Monomial, Polynomial, PolyError, WeightSystem, infer_weights
+from .poly import Monomial, Polynomial, PolyError, infer_weights
 from .util import PrecondError, exact_rank as _rank, rref as _rref, solve_exact as _solve_exact
 
 SATISFIED = "Satisfied"
@@ -47,17 +47,6 @@ class EllipticityReport:
 
 
 # -- quasi-homogeneous route ---------------------------------------------------
-
-
-def growth_exponents(weights: WeightSystem) -> tuple[tuple[Fraction, ...], bool]:
-    """Per-variable growth exponents q_i / min_j(1 - q_j).
-
-    Returns (exponents, all_at_most_one).  When every weight is <= 1/2
-    the exponents are automatically <= 1.
-    """
-    m = min(Fraction(1) - qj for qj in weights.q)
-    delta = tuple(qi / m for qi in weights.q)
-    return delta, all(d <= 1 for d in delta)
 
 
 def check_quasihomogeneous_ellipticity(f: Polynomial) -> EllipticityReport:
@@ -83,12 +72,10 @@ def _quasihomogeneous_report(f: Polynomial, ring) -> EllipticityReport:
     if ring.mu == math.inf:
         return EllipticityReport(UNKNOWN, "critical locus is positive-dimensional",
                                  {"weights": weights.q})
-    delta, delta_ok = growth_exponents(weights)
     return EllipticityReport(
         SATISFIED,
         "weighted-homogeneous, all weights <= 1/2, isolated critical point",
-        {"weights": weights.q, "mu": ring.mu, "growth_exponents": delta,
-         "growth_exponents_at_most_one": delta_ok})
+        {"weights": weights.q, "mu": ring.mu})
 
 
 # -- Newton polytope -----------------------------------------------------------
@@ -331,7 +318,6 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
     if not poly.convenient:
         raise PrecondError("Newton polytope does not contain the origin "
                            "strictly in its interior")
-    details = {"dim": poly.dim, "vertices": poly.vertices}
     for face in poly.faces:
         system = _face_system(f, face)
         if not _torus_system_is_empty(system, f.names):
@@ -339,8 +325,8 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
             reason = f"face {list(face.points)} has a torus solution"
             if witness is None:
                 reason += "; no torus witness found"
-            return EllipticityReport(VIOLATED, reason, details, witness=witness)
-    return EllipticityReport(SATISFIED, "no face system has a torus solution", details)
+            return EllipticityReport(VIOLATED, reason, witness=witness)
+    return EllipticityReport(SATISFIED, "no face system has a torus solution")
 
 
 # -- numeric growth table --------------------------------------------------------
@@ -430,9 +416,7 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
     verdict = LIKELY if ok else UNKNOWN
     reason = ("sampled margins positive and increasing at the largest radii"
               if ok else "sampled margins fail to grow")
-    return EllipticityReport(verdict, reason,
-                             {"eps": GROWTH_EPS, "directions": GROWTH_DIRECTIONS},
-                             table=rows)
+    return EllipticityReport(verdict, reason, table=rows)
 
 
 def growth_table_csv(report: EllipticityReport) -> str:

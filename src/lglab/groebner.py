@@ -8,12 +8,23 @@ generators f_i.  Normal forms therefore come with certified quotients:
 caller.  Downstream code needs those quotients, not just membership.
 Every basis is taken in one monomial order, grevlex (``grevlex_key``).
 
-Buchberger's algorithm uses the normal selection strategy (Buchberger
-1985): of the queued S-pairs it reduces the one whose lcm has the smallest
-total degree, then the smallest in the monomial order.  Reducing the newest
-pair first instead let remainders climb to degree 40 with coefficients of
-thousands of bits on three-variable gradient ideals.  A call gives up with
-ComputeError after MAX_S_PAIRS reductions rather than run for minutes.
+Buchberger's algorithm drops redundant S-pairs by the criteria of
+Gebauer and Moeller (J. Symb. Comp. 6, 1988) and selects pairs by sugar
+(Giovini et al., "One sugar cube, please", ISSAC 1991).  When an element
+joins the basis, criterion B_k drops each queued pair whose lcm its
+leading monomial divides, unless it shares that lcm with one of the
+pair's elements.  Of the element's own new pairs, criterion M drops those
+whose lcm another new pair's lcm properly divides, and criterion F keeps
+one pair per lcm, none where a pair of that lcm has coprime leading
+monomials.  A generator's sugar is its total degree, a pair's sugar is
+the larger of its elements' sugars lifted to the lcm, and a new element
+inherits its pair's.  The queued pair of least sugar is reduced first,
+then the one whose lcm is smallest.  Sugar is the degree the pair would
+have in a homogenized computation, so selection climbs in degree even on
+inhomogeneous ideals, where reducing the newest pair first let
+remainders reach degree 40 with coefficients of thousands of bits.  A
+call gives up with ComputeError after MAX_S_PAIRS reductions rather than
+run for minutes.
 """
 
 from __future__ import annotations
@@ -58,19 +69,23 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-# S-pairs one groebner_basis call may reduce before it gives up.  The
-# gradient ideals in the tests and benchmark need at most 102 (mu=35);
-# random three-variable potentials that finish in seconds need up to ~1400.
+# S-pairs one groebner_basis call may reduce before it gives up; pairs the
+# criteria drop do not count.  The gradient ideals in the tests and the
+# benchmark reduce at most 96 (a three-variable potential in
+# test_groebner.py; mu=35 reduces 45), and 40 random three-variable
+# potentials with 3-6 terms and exponents up to 5 reduce at most 212.
 MAX_S_PAIRS = 2000
 
 
-def divide(g: Polynomial, divisors: list[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division: g = sum_k q_k * divisors[k] + r.
+def divide(g: Polynomial, divisors: list[Polynomial],
+           lts: list[tuple[Monomial, Fraction]]
+           ) -> tuple[list[Polynomial], Polynomial]:
+    """Multivariate division: g = sum_k q_k * divisors[k] + r, where
+    lts[k] is the leading term of divisors[k], which callers keep.
 
     No monomial of r is divisible by any leading monomial of the divisors.
     """
     names, mode = g.names, g.mode
-    lts = [leading_term(d) for d in divisors]
     quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     rem: dict[Monomial, Fraction] = {}
     work = dict(g.coeffs)
@@ -118,34 +133,38 @@ def _combined_row(row: list[Polynomial], qs: list[Polynomial],
 class GroebnerBasis:
     """A reduced Groebner basis of <generators> with exact cofactors.
 
-    elements[k] == sum_i cofactors[k][i] * generators[i]
+    elements[k] == sum_i cofactors[k][i] * generators[i]; lts[k] is the
+    leading term of elements[k], taken once for every division.
     """
     generators: list[Polynomial]
     elements: list[Polynomial]
     cofactors: list[list[Polynomial]]
+    lts: list[tuple[Monomial, Fraction]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.lts = [leading_term(e) for e in self.elements]
 
     def normal_form(self, g: Polynomial) -> Polynomial:
-        _, r = divide(g, self.elements)
+        _, r = divide(g, self.elements, self.lts)
         return r
 
     def normal_form_with_quotients(self, g: Polynomial
                                    ) -> tuple[Polynomial, list[Polynomial]]:
         """Return (r, a) with g = r + sum_i a_i * generators[i]."""
-        qs, r = divide(g, self.elements)
+        qs, r = divide(g, self.elements, self.lts)
         zeros = [Polynomial.zero(g.names, g.mode)] * len(self.generators)
         return r, _combined_row(zeros, qs, self.cofactors)
 
     def contains_one(self) -> bool:
-        return any(leading_term(e)[0] == tuple(0 for _ in e.names)
-                   for e in self.elements)
+        return any(not any(lm) for lm, _ in self.lts)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [leading_term(e)[0] for e in self.elements]
+        return [lm for lm, _ in self.lts]
 
 
 def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
-    """Buchberger's algorithm with the normal selection strategy, then
-    interreduction.  Exact over Fraction.
+    """Buchberger's algorithm with the Gebauer-Moeller criteria and sugar
+    selection, then interreduction.  Exact over Fraction.
 
     Raises ComputeError when more than MAX_S_PAIRS S-pairs would have to
     be reduced.
@@ -160,42 +179,73 @@ def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
     basis: list[Polynomial] = []
     cofs: list[list[Polynomial]] = []
     lts: list[tuple[Monomial, Fraction]] = []  # leading term of each element
-    # heap of (degree of lcm, order key of lcm, i, j, lcm): the pair with the
-    # smallest lcm is reduced first, ties broken by index
-    pairs: list = []
+    sugars: list[int] = []
+    # heap of (sugar, degree of lcm, order key of lcm, i, j): the pair of
+    # least sugar is reduced first, then the one with the smallest lcm, ties
+    # broken by index.  ``live`` maps each queued pair to its lcm; a pair
+    # that criterion B_k drops leaves it and is skipped when popped.
+    heap: list = []
+    live: dict[tuple[int, int], Monomial] = {}
 
-    def add(g: Polynomial, row: list[Polynomial]) -> None:
+    def add(g: Polynomial, row: list[Polynomial], sugar: int) -> None:
         lm, lc = leading_term(g)
         new = len(basis)
-        for k, (lmk, _) in enumerate(lts):
-            lcm = _lcm(lm, lmk)
-            # first Buchberger criterion: coprime leading monomials
-            if lcm != tuple(a + b for a, b in zip(lm, lmk)):
-                heapq.heappush(pairs, (sum(lcm), grevlex_key(lcm), new, k, lcm))
+        # criterion B_k: drop a queued pair (i, j) whose lcm lm divides,
+        # unless lcm(lm_i, lm) or lcm(lm_j, lm) equals it; its S-polynomial
+        # then follows from those of (i, new) and (j, new)
+        for (i, j), lcm in list(live.items()):
+            if (_divides(lm, lcm) and _lcm(lts[i][0], lm) != lcm
+                    and _lcm(lts[j][0], lm) != lcm):
+                del live[i, j]
+        cands = [(_lcm(lm, lmk), k) for k, (lmk, _) in enumerate(lts)]
+        # criterion M: drop a new pair whose lcm another one's properly divides
+        lcms = {lcm for lcm, _ in cands}
+        kept: dict[Monomial, int] = {}
+        coprime: set[Monomial] = set()
+        for lcm, k in cands:
+            if any(o != lcm and _divides(o, lcm) for o in lcms):
+                continue
+            # criterion F: one pair per lcm; Buchberger's product criterion
+            # drops the whole class when one of its pairs is coprime
+            if lcm == tuple(a + b for a, b in zip(lm, lts[k][0])):
+                coprime.add(lcm)
+            kept.setdefault(lcm, k)
+        d = sum(lm)
+        for lcm, k in kept.items():
+            if lcm in coprime:
+                continue
+            dl = sum(lcm)
+            pair_sugar = max(sugar + dl - d, sugars[k] + dl - sum(lts[k][0]))
+            heapq.heappush(heap, (pair_sugar, dl, grevlex_key(lcm), new, k))
+            live[new, k] = lcm
         basis.append(g)
         cofs.append(row)
         lts.append((lm, lc))
+        sugars.append(sugar)
 
     for i, g in enumerate(gens):
         if not g.is_zero():
             add(g, [Polynomial.constant(1 if j == i else 0, names, mode)
-                    for j in range(len(gens))])
+                    for j in range(len(gens))], max(map(sum, g.coeffs)))
     if not basis:
         raise ValueError("all generators are zero")
 
     reductions = 0
-    while pairs:
+    while heap:
+        sugar, _, _, i, j = heapq.heappop(heap)
+        lcm = live.pop((i, j), None)
+        if lcm is None:
+            continue  # dropped by criterion B_k
         if reductions == MAX_S_PAIRS:
             raise ComputeError(
                 f"Groebner basis unfinished after reducing {MAX_S_PAIRS} "
-                f"S-pairs ({len(pairs)} still queued, {len(basis)} elements)")
+                f"S-pairs ({len(live) + 1} still queued, {len(basis)} elements)")
         reductions += 1
-        _, _, i, j, lcm = heapq.heappop(pairs)
         (lmi, lci), (lmj, lcj) = lts[i], lts[j]
         ti = Polynomial.monomial(_quot(lcm, lmi), Fraction(1) / lci, names, mode)
         tj = Polynomial.monomial(_quot(lcm, lmj), Fraction(1) / lcj, names, mode)
         s = ti * basis[i] - tj * basis[j]
-        qs, r = divide(s, basis)
+        qs, r = divide(s, basis, lts)
         if r.is_zero():
             continue
         # most S-polynomials reduce to zero: form cofactors only for the rest
@@ -203,33 +253,28 @@ def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
                               [-q for q in qs], cofs)
         _, lc = leading_term(r)
         inv = Fraction(1) / lc
-        add(r * inv, [a * inv for a in cof_s])
+        add(r * inv, [a * inv for a in cof_s], sugar)
 
     # minimalize: keep only elements whose LM no kept LM divides
-    lms = [lm for lm, _ in lts]
-    by_lm = sorted(range(len(basis)), key=lambda k: grevlex_key(lms[k]))
+    by_lm = sorted(range(len(basis)), key=lambda k: grevlex_key(lts[k][0]))
     keep: list[int] = []
     for k in by_lm:
-        if not any(_divides(lms[t], lms[k]) for t in keep):
+        if not any(_divides(lts[t][0], lts[k][0]) for t in keep):
             keep.append(k)
     basis = [basis[k] for k in keep]
     cofs = [cofs[k] for k in keep]
+    lts = [lts[k] for k in keep]
 
-    # full reduction against the others; each remainder keeps its leading term
+    # full reduction against the others; each remainder keeps its leading
+    # term, and the kept elements are already in increasing order
     reduced: list[Polynomial] = []
     reduced_cofs: list[list[Polynomial]] = []
     for k in range(len(basis)):
-        qs, r = divide(basis[k], basis[:k] + basis[k + 1:])
+        qs, r = divide(basis[k], basis[:k] + basis[k + 1:], lts[:k] + lts[k + 1:])
         cof_r = _combined_row(cofs[k], [-q for q in qs], cofs[:k] + cofs[k + 1:])
-        _, lc = leading_term(r)
-        inv = Fraction(1) / lc
+        inv = Fraction(1) / lts[k][1]
         reduced.append(r * inv)
         reduced_cofs.append([a * inv for a in cof_r])
-
-    reduced_pairs = sorted(zip(reduced, reduced_cofs),
-                           key=lambda rc: grevlex_key(leading_term(rc[0])[0]))
-    reduced = [p for p, _ in reduced_pairs]
-    reduced_cofs = [c for _, c in reduced_pairs]
     return GroebnerBasis(gens, reduced, reduced_cofs)
 
 

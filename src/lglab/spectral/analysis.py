@@ -256,8 +256,10 @@ def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
                 f"all {kept} Ritz values of the kernel block sit below the "
                 "threshold; the kernel may be larger than the block")
         previous, K = K, X[:, :kept]
+        # raveled: SciPy takes a 1-D norm with its own nrm2, but hands a
+        # 2-D Frobenius norm to np.linalg.norm and NumPy's BLAS pool
         if (previous is not None and previous.shape == K.shape
-                and sla.norm(K - _project(previous, K)) <= KERNEL_TOL):
+                and sla.norm((K - _project(previous, K)).ravel()) <= KERNEL_TOL):
             return K.copy(order="F")  # a view would keep the block alive
     raise ComputeError(f"kernel inverse iteration not converged after "
                        f"{KERNEL_ITERATIONS} block solves")

@@ -12,12 +12,11 @@ from lglab.ellipticity import (
     _face_system,
     check_laurent_nondegenerate,
     check_quasihomogeneous_ellipticity,
-    growth_exponents,
     growth_table_csv,
     newton_polytope,
     numeric_growth_table,
 )
-from lglab.poly import Polynomial, WeightSystem, parse_polynomial
+from lglab.poly import Polynomial, parse_polynomial
 from lglab.util import PrecondError
 
 
@@ -63,29 +62,6 @@ class TestQuasihomogeneous:
     def test_nonisolated_is_unknown(self):
         rep = check_quasihomogeneous_ellipticity(P("x^2*y^2", ("x", "y")))
         assert rep.verdict == UNKNOWN
-
-
-class TestGrowthExponents:
-    def test_pair_of_thirds(self):
-        d, ok = growth_exponents(WeightSystem((Fraction(1, 3), Fraction(1, 3))))
-        assert d == (Fraction(1, 2), Fraction(1, 2)) and ok
-
-    def test_single_half(self):
-        d, ok = growth_exponents(WeightSystem((Fraction(1, 2),)))
-        assert d == (Fraction(1),) and ok
-
-    def test_mixed(self):
-        d, ok = growth_exponents(WeightSystem((Fraction(1, 3), Fraction(1, 5))))
-        assert d == (Fraction(1, 2), Fraction(3, 10)) and ok
-
-    def test_small_weights_imply_bounded_exponents(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            n = rng.randint(1, 4)
-            q = tuple(Fraction(rng.randint(1, 10), rng.randint(20, 40)) for _ in range(n))
-            assert all(qi <= Fraction(1, 2) for qi in q)
-            _, ok = growth_exponents(WeightSystem(q))
-            assert ok
 
 
 class TestNewtonPolytope:

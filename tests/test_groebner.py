@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglab import groebner
-from lglab.groebner import divide, groebner_basis, milnor_ring
+from lglab.groebner import divide, groebner_basis, leading_term, milnor_ring
 from lglab.poly import Polynomial, parse_polynomial
 from lglab.util import ComputeError, PrecondError
 
@@ -34,7 +34,7 @@ class TestDivision:
         divisors = [P("x^2 + y", names), P("x*y - 1", names)]
         for _ in range(20):
             g = random_poly(rng, names)
-            qs, r = divide(g, divisors)
+            qs, r = divide(g, divisors, [leading_term(d) for d in divisors])
             recon = r
             for q, d in zip(qs, divisors):
                 recon = recon + q * d
@@ -43,7 +43,8 @@ class TestDivision:
     def test_remainder_not_divisible(self):
         names = ("x", "y")
         divisors = [P("x^2", names), P("y^3", names)]
-        _, r = divide(P("x^5*y^5 + x + y", names), divisors)
+        _, r = divide(P("x^5*y^5 + x + y", names), divisors,
+                      [leading_term(d) for d in divisors])
         for m in r.coeffs:
             assert m[0] < 2 and m[1] < 3
 
@@ -226,6 +227,83 @@ class TestFourVariableCertificates:
         self._assert_certified("x^3+y^3+w^3+v^3+x*y*w*v", 43)
 
 
+_RINGS = {
+    14: ("x^3+y^3+w^3+x*y*w+x^2*y^2", ("x", "y", "w")),
+    35: ("x^3+y^3+w^3+v^2+x*y*w*v", ("x", "y", "w", "v")),
+    43: ("x^3+y^3+w^3+v^3+x*y*w*v", ("x", "y", "w", "v")),
+    68: ("x^4+y^5+w^4+x^2*y^2*w^2", ("x", "y", "w")),
+    70: ("x^3+y^3+w^3+v^3+x*y*w*v^2", ("x", "y", "w", "v")),
+}
+
+# gradient ideals of three-variable potentials on which the normal
+# selection strategy, with the product criterion alone, made 1610 divisions
+# (the first) and ran past 30 s (the second)
+_WITNESS = ("-7/2*x^2*y^4*w^4 + 2/3*x^4*y^4*w - 2*x^4*y^3*w^2 + 2*y^3*w^4"
+            " + 4/3*x*y^2")
+_SLOW = "-x^4*y*w^4 - 4/3*x^3*y^3*w^3 + 4*x^2*y^2*w^4 - x^3*w - x*w^2 + 2/3*w"
+
+
+def _assert_sympy_basis_and_certified(gens, gb):
+    """gb's elements are sympy's reduced basis in increasing order of
+    leading monomial, and every cofactor row certifies its element."""
+    assert {frozenset(e.coeffs.items()) for e in gb.elements} == \
+        _sympy_reduced_basis(gens)
+    lms = gb.leading_monomials()
+    assert lms == sorted(lms, key=groebner.grevlex_key)
+    for e, row in zip(gb.elements, gb.cofactors):
+        recon = Polynomial.zero(e.names)
+        for c, g in zip(row, gens):
+            recon = recon + c * g
+        assert recon == e
+
+
+class TestPairCriteria:
+    def test_witness_needs_few_divisions(self, monkeypatch):
+        calls = []
+        divide_ = groebner.divide
+
+        def counted(*args):
+            calls.append(None)
+            return divide_(*args)
+
+        monkeypatch.setattr(groebner, "divide", counted)
+        gens = P(_WITNESS, ("x", "y", "w")).gradient()
+        gb = groebner_basis(gens)
+        assert len(calls) <= 150
+        _assert_sympy_basis_and_certified(gens, gb)
+
+    def test_slow_under_normal_selection_finishes_and_matches_sympy(self):
+        gens = P(_SLOW, ("x", "y", "w")).gradient()
+        start = time.perf_counter()
+        gb = groebner_basis(gens)
+        assert time.perf_counter() - start < 30
+        _assert_sympy_basis_and_certified(gens, gb)
+
+    @pytest.mark.parametrize("mu", sorted(_RINGS))
+    def test_ring_bases_match_sympy_element_for_element(self, mu):
+        text, names = _RINGS[mu]
+        f = P(text, names)
+        R = milnor_ring(f)
+        assert R.mu == mu
+        _assert_sympy_basis_and_certified(f.gradient(), R.gb)
+
+    def test_dropped_pairs_do_not_count_toward_the_budget(self, monkeypatch):
+        # the witness reduces 96 pairs and pops 23 more that criterion B_k
+        # dropped after they were queued
+        gens = P(_WITNESS, ("x", "y", "w")).gradient()
+        monkeypatch.setattr(groebner, "MAX_S_PAIRS", 96)
+        assert len(groebner_basis(gens).elements) == 14
+        monkeypatch.setattr(groebner, "MAX_S_PAIRS", 95)
+        with pytest.raises(ComputeError, match="95 S-pairs"):
+            groebner_basis(gens)
+
+    def test_normal_forms_divide_by_the_kept_leading_terms(self, monkeypatch):
+        gb = groebner_basis([P("x^2 - y", ("x", "y")), P("y^2 - x", ("x", "y"))])
+        assert gb.lts == [leading_term(e) for e in gb.elements]
+        monkeypatch.setattr(groebner, "leading_term", None)
+        assert gb.normal_form(P("x^3*y + y^5", ("x", "y"))) == P("x + y", ("x", "y"))
+
+
 @functools.cache
 def _ring14():
     return milnor_ring(P("x^3+y^3+w^3+x*y*w+x^2*y^2", ("x", "y", "w")))
@@ -274,11 +352,4 @@ def _sympy_reduced_basis(gens):
 @settings(max_examples=60, deadline=None)
 @given(_ideals())
 def test_reduced_basis_matches_sympy_and_cofactors_certify(gens):
-    gb = groebner_basis(gens)
-    assert {frozenset(e.coeffs.items()) for e in gb.elements} == \
-        _sympy_reduced_basis(gens)
-    for e, row in zip(gb.elements, gb.cofactors):
-        recon = Polynomial.zero(e.names)
-        for c, g in zip(row, gens):
-            recon = recon + c * g
-        assert recon == e
+    _assert_sympy_basis_and_certified(gens, groebner_basis(gens))
