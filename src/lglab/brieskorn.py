@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .groebner import MilnorRing, milnor_ring
 from .poly import Monomial, Polynomial
-from .util import ComputeError, PrecondError, exact_rank, frac_str
+from .util import ComputeError, PrecondError, canon, exact_rank, frac_str
 
 # -- polyvector fields ---------------------------------------------------------
 
@@ -225,14 +225,15 @@ def twisted_differential(f: Polynomial, s: USeriesPV) -> USeriesPV:
 
 @dataclass
 class LatticeElement:
-    """u-series of coordinate vectors over the Milnor monomial basis.
+    """u-series of coordinate vectors over the Milnor monomial basis, with
+    entries in canonical form.
 
     Keys below zero only appear transiently inside the connection."""
     coords: dict[int, tuple[Fraction, ...]]
     order: int
 
     def __post_init__(self):
-        self.coords = {k: tuple(v) for k, v in self.coords.items()
+        self.coords = {k: tuple(map(canon, v)) for k, v in self.coords.items()
                        if k <= self.order and any(x != 0 for x in v)}
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
@@ -246,14 +247,14 @@ class LatticeElement:
         return LatticeElement({k: tuple(v) for k, v in out.items()}, order)
 
     def __mul__(self, c) -> "LatticeElement":
-        c = Fraction(c)
+        c = canon(Fraction(c))
         return LatticeElement({k: tuple(c * x for x in v)
                                for k, v in self.coords.items()}, self.order)
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return self + other * Fraction(-1)
+        return self + other * -1
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -264,19 +265,20 @@ class LatticeElement:
 
 @dataclass
 class PairingSeries:
-    """Rational u-power series value of the residue pairing."""
+    """Rational u-power series value of the residue pairing, with
+    coefficients in canonical form."""
     coeffs: dict[int, Fraction]
     order: int
 
     def __post_init__(self):
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items()
+        self.coeffs = {k: canon(Fraction(v)) for k, v in self.coeffs.items()
                        if k <= self.order and v != 0}
 
     def __add__(self, other):
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return PairingSeries(out, order)
 
     def __eq__(self, other):
@@ -292,7 +294,7 @@ class PairingSeries:
                               for k, v in self.coeffs.items()}, self.order)
 
     def residue_part(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
+        return self.coeffs.get(0, 0)
 
     def __str__(self):
         if not self.coeffs:
@@ -323,8 +325,8 @@ class BrieskornLattice:
             raise PrecondError("positive-dimensional critical locus: "
                                "no finite lattice model")
         self.mu = self.ring.mu
-        self._units = [tuple(Fraction(1) if i == p else Fraction(0)
-                             for i in range(self.mu)) for p in range(self.mu)]
+        self._units = [tuple(int(i == p) for i in range(self.mu))
+                       for p in range(self.mu)]
         # residue series per product monomial: many basis pairs share one
         self._pair_table: dict[Monomial, dict[int, Fraction]] = {}
 
@@ -418,8 +420,9 @@ class BrieskornLattice:
         if key not in self._pair_table:
             prod = Polynomial.monomial(key, 1, self.f.names)
             red = self.reduce(prod, self.order + 2)
-            self._pair_table[key] = {k: vec[sigma] * self.ring.residue_scale
-                                     for k, vec in red.coords.items() if vec[sigma]}
+            self._pair_table[key] = {
+                k: canon(vec[sigma] * self.ring.residue_scale)
+                for k, vec in red.coords.items() if vec[sigma]}
         return self._pair_table[key]
 
     def pairing(self, a, b) -> PairingSeries:
@@ -443,7 +446,7 @@ class BrieskornLattice:
                         for t, r in self._basis_product_residues(p, q).items():
                             m = j + k + t
                             if m <= N:
-                                out[m] = out.get(m, Fraction(0)) + \
+                                out[m] = out.get(m, 0) + \
                                     twist * ca * cb * r
         return PairingSeries(out, N)
 
@@ -455,7 +458,7 @@ class BrieskornLattice:
 
     def residue_matrix(self) -> list[list[Fraction]]:
         """The u^0 part of the pairing matrix: the Grothendieck residue pairing."""
-        return [[self._basis_product_residues(p, q).get(0, Fraction(0))
+        return [[self._basis_product_residues(p, q).get(0, 0)
                  for q in range(self.mu)] for p in range(self.mu)]
 
     def residue_matrix_rank(self) -> int:
@@ -467,7 +470,7 @@ class BrieskornLattice:
         """Covariant derivative along u d/du: u d/du - (1/u) (mult by f),
         computed on reduced coordinates.  The result may pick up a u^{-1}
         term for non-quasi-homogeneous input classes."""
-        scaled = LatticeElement({k: tuple(Fraction(k) * x for x in v)
+        scaled = LatticeElement({k: tuple(k * x for x in v)
                                  for k, v in el.coords.items()}, el.order)
         series = self.to_polynomial_series(el)
         f_times = {k: p * self.f for k, p in series.items()}

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 computation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,7 +147,10 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``lg`` argument parser, built once per process: parsing leaves
+    it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lg",
         description="Exact lattice algebra and spectral probes for "

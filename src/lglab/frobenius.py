@@ -176,7 +176,7 @@ def family_residue(U: Unfolding, g: Polynomial, nt: int,
     if _cinv is None:
         _cinv = _normalizer_inverse(U, nt)
     numer = family_normal_form(U, g, nt)[_socle_index(U)]
-    return numer.mul_trunc(_cinv, nt) * Fraction(U.ring.mu)
+    return numer.mul_trunc(_cinv, nt) * U.ring.mu
 
 
 def _family_hessian(U: Unfolding) -> Polynomial:
@@ -184,7 +184,7 @@ def _family_hessian(U: Unfolding) -> Polynomial:
     n, zero_t = len(U.f.names), (0,) * U.mu
     F = {m + zero_t: c for m, c in U.f.coeffs.items()}
     for a, phi in enumerate(U.phis):
-        F[phi + zero_t[:a] + (1,) + zero_t[a + 1:]] = Fraction(1)
+        F[phi + zero_t[:a] + (1,) + zero_t[a + 1:]] = 1
     F = Polynomial(F, U.f.names + U.tnames)
     return cofactor_det([[F.diff(i).diff(j) for j in range(n)] for i in range(n)])
 
@@ -211,7 +211,7 @@ def _metric_and_structure(U: Unfolding, nt: int):
     per product: phi_a phi_b = sum_e c_ab^e phi_e has family residue
     mu * c_ab^sigma / h, with phi_sigma the socle.  The normalizer comes
     first, so its preconditions are checked before any product is reduced."""
-    scale = _normalizer_inverse(U, nt) * Fraction(U.ring.mu)
+    scale = _normalizer_inverse(U, nt) * U.ring.mu
     c = family_multiplication(U, nt)
     sigma = _socle_index(U)
     eta = [[None] * U.mu for _ in range(U.mu)]
@@ -309,7 +309,7 @@ def _integrate_third_derivatives(
             d = sum(m) + 3
             target = tuple(e + (i == a) + (i == b) + (i == c)
                            for i, e in enumerate(m))
-            coeffs[target] = (coeffs.get(target, Fraction(0)) +
+            coeffs[target] = (coeffs.get(target, 0) +
                               val * Fraction(perms, d * (d - 1) * (d - 2)))
     F = Polynomial(coeffs, names)
     for (a, b, c), poly in T.items():
@@ -418,7 +418,9 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
 
 def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
     """Max absolute coefficient of the associativity residual
-    sum_{e,f} F_abe eta^{ef} F_fcd - (b <-> c), truncated in t-order.
+    sum_{e,f} F_abe eta^{ef} F_fcd - (b <-> c), truncated in t-order,
+    as a Fraction even when integral, which ``jsonable`` writes as a
+    string ('0', not the number 0).
 
     F_abc is symmetric in its three indices and eta^{ef} in its two, so the
     contraction C(ab, cd) is unchanged by a <-> b, c <-> d and ab <-> cd:
@@ -459,7 +461,7 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
     # the residual of (a, b, c, d) is C(k1) - C(k2): zero when the classes
     # are equal, and the same up to sign for (k1, k2) and (k2, k1), so each
     # unordered pair of distinct classes is checked once
-    worst = Fraction(0)
+    worst = 0
     compared = set()
     for a, b, c, d in itertools.product(range(mu), repeat=4):
         k1, k2 = sorted((cls(a, b, c, d), cls(a, c, b, d)))
@@ -469,4 +471,4 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
         res = contract(k1) - contract(k2)
         for v in res.coeffs.values():
             worst = max(worst, abs(v))
-    return worst
+    return Fraction(worst)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Monomial, Polynomial, PolyError, WeightSystem, hessian_det, infer_weights
-from .util import ComputeError, PrecondError
+from .util import ComputeError, PrecondError, canon
 
 # -- the monomial order -------------------------------------------------------
 
@@ -50,7 +50,7 @@ def grevlex_key(m: Monomial) -> tuple:
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def leading_term(p: Polynomial) -> tuple[Monomial, Fraction]:
+def leading_term(p: Polynomial) -> tuple[Monomial, Fraction | int]:
     if p.is_zero():
         raise ValueError("zero polynomial has no leading term")
     m = max(p.coeffs, key=grevlex_key)
@@ -84,6 +84,9 @@ def divide(g: Polynomial, divisors: list[Polynomial],
     lts[k] is the leading term of divisors[k], which callers keep.
 
     No monomial of r is divisible by any leading monomial of the divisors.
+    The quotients and r are in canonical form: each step's factor c / lc
+    is taken through ``Fraction`` (two ints would divide to a float), and
+    not at all when the divisor is monic.
     """
     names, mode = g.names, g.mode
     quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
@@ -95,7 +98,7 @@ def divide(g: Polynomial, divisors: list[Polynomial],
         for k, (lm, lc) in enumerate(lts):
             if _divides(lm, m):
                 t = _quot(m, lm)
-                factor = c / lc
+                factor = c if lc == 1 else canon(Fraction(c) / lc)
                 quots[k][t] = factor
                 for dm, dc in divisors[k].coeffs.items():
                     mm = tuple(x + y for x, y in zip(t, dm))
@@ -103,7 +106,7 @@ def divide(g: Polynomial, divisors: list[Polynomial],
                         continue  # the leading term cancels by construction
                     nv = work.get(mm, 0) - factor * dc
                     if nv:
-                        work[mm] = nv
+                        work[mm] = canon(nv)
                     else:
                         del work[mm]
                 break
@@ -164,7 +167,7 @@ class GroebnerBasis:
 
 def groebner_basis(generators: list[Polynomial]) -> GroebnerBasis:
     """Buchberger's algorithm with the Gebauer-Moeller criteria and sugar
-    selection, then interreduction.  Exact over Fraction.
+    selection, then interreduction.  Exact over the rationals.
 
     Raises ComputeError when more than MAX_S_PAIRS S-pairs would have to
     be reduced.
@@ -309,7 +312,7 @@ class MilnorRing:
         from normal forms to coordinate vectors."""
         if self.basis is None:
             raise ValueError("quotient is infinite-dimensional")
-        vec = [Fraction(0)] * len(self.basis)
+        vec = [0] * len(self.basis)
         for m, c in nf.coeffs.items():
             k = self._index.get(m)
             if k is None:
@@ -418,4 +421,5 @@ def milnor_ring(f: Polynomial) -> MilnorRing:
         hess_c = gb.normal_form(hessian_det(f)).coeffs.get(tops[0], 0)
     if hess_c == 0:
         return MilnorRing(f, gb, mu, basis, weights)
-    return MilnorRing(f, gb, mu, basis, weights, tops[0], Fraction(mu) / hess_c)
+    return MilnorRing(f, gb, mu, basis, weights, tops[0],
+                      canon(Fraction(mu) / hess_c))

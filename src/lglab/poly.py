@@ -1,9 +1,11 @@
 """Sparse multivariate (Laurent) polynomials over exact rationals.
 
 A monomial is a tuple of signed integer exponents, one slot per variable.
-A polynomial is a finite map monomial -> Fraction with no explicit zero
-entries.  Two ring modes exist: ``"poly"`` restricts exponents to be
-nonnegative, ``"laurent"`` allows negative exponents.
+A polynomial is a finite map monomial -> rational with no explicit zero
+entries, each rational in the canonical form of ``util.canon``: an
+``int`` when integral, else a ``Fraction`` with a denominator above 1.
+Two ring modes exist: ``"poly"`` restricts exponents to be nonnegative,
+``"laurent"`` allows negative exponents.
 
 The text grammar accepted by :func:`parse_polynomial`, read left to
 right with whitespace ignored:
@@ -26,7 +28,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .util import cofactor_det, rref
+from .util import canon, cofactor_det, rref
 
 Monomial = tuple[int, ...]
 
@@ -39,6 +41,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
+def _coefficient(c):
+    """A caller's rational coefficient in canonical form."""
+    return canon(c if type(c) in (int, Fraction) else Fraction(c))
+
+
 def _checked_mode(mode: str) -> str:
     if mode not in ("poly", "laurent"):
         raise PolyError(f"unknown ring mode {mode!r}")
@@ -46,14 +53,17 @@ def _checked_mode(mode: str) -> str:
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial over Fraction.
+    """Immutable-by-convention sparse polynomial over the rationals.
 
     Canonical form: ``coeffs`` maps int tuples of length ``nvars`` to
-    nonzero Fractions, with no negative exponent in ``"poly"`` mode.  The
+    nonzero rationals, each an ``int`` when integral and otherwise a
+    ``Fraction``, with no negative exponent in ``"poly"`` mode.  The
     public constructor validates and normalizes any mapping into that
     form; the arithmetic operators combine operands that already are in
-    it, so they build their results through ``_trusted`` and only drop
-    the coefficients that cancel.
+    it, so they build their results through ``_trusted``, drop the
+    coefficients that cancel and turn integral Fractions into ints.
+    ``canon`` leaves a non-rational coefficient alone, so a polynomial
+    built through ``_trusted`` with complex coefficients keeps them.
     """
 
     __slots__ = ("coeffs", "names", "mode")
@@ -61,9 +71,9 @@ class Polynomial:
     def __init__(self, coeffs: Mapping[Monomial, Fraction], names: tuple[str, ...],
                  mode: str = "poly"):
         _checked_mode(mode)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Fraction | int] = {}
         for m, c in coeffs.items():
-            c = Fraction(c)
+            c = _coefficient(c)
             if c == 0:
                 continue
             m = tuple(int(e) for e in m)
@@ -71,8 +81,8 @@ class Polynomial:
                 raise PolyError("exponent tuple length does not match variable count")
             if mode == "poly" and any(e < 0 for e in m):
                 raise PolyError(f"negative exponent {m} in polynomial mode")
-            clean[m] = clean.get(m, Fraction(0)) + c
-        self.coeffs = {m: c for m, c in clean.items() if c != 0}
+            clean[m] = clean.get(m, 0) + c
+        self.coeffs = {m: canon(c) for m, c in clean.items() if c != 0}
         self.names = tuple(names)
         self.mode = mode
 
@@ -98,7 +108,7 @@ class Polynomial:
     @classmethod
     def constant(cls, c, names: tuple[str, ...], mode: str = "poly") -> "Polynomial":
         names = tuple(names)
-        c = Fraction(c)
+        c = _coefficient(c)
         return cls._trusted({(0,) * len(names): c} if c else {}, names,
                             _checked_mode(mode))
 
@@ -108,7 +118,7 @@ class Polynomial:
         if not 0 <= i < len(names):
             raise PolyError(f"variable index {i} out of range for {len(names)} variables")
         m = (0,) * i + (1,) + (0,) * (len(names) - i - 1)
-        return cls._trusted({m: Fraction(1)}, names, _checked_mode(mode))
+        return cls._trusted({m: 1}, names, _checked_mode(mode))
 
     @classmethod
     def monomial(cls, m: Monomial, c, names: tuple[str, ...], mode: str = "poly") -> "Polynomial":
@@ -118,7 +128,7 @@ class Polynomial:
             raise PolyError("exponent tuple length does not match variable count")
         if _checked_mode(mode) == "poly" and any(e < 0 for e in m):
             raise PolyError(f"negative exponent {m} in polynomial mode")
-        c = Fraction(c)
+        c = _coefficient(c)
         return cls._trusted({m: c} if c else {}, names, mode)
 
     # -- ring structure ----------------------------------------------------
@@ -130,8 +140,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(tuple(0 for _ in self.names), Fraction(0))
+    def constant_term(self) -> Fraction | int:
+        return self.coeffs.get(tuple(0 for _ in self.names), 0)
 
     def _check_compat(self, other: "Polynomial") -> str:
         if self.names != other.names:
@@ -147,7 +157,7 @@ class Polynomial:
             if m in out:
                 c += out[m]
                 if c:
-                    out[m] = c
+                    out[m] = canon(c)
                 else:
                     del out[m]
             else:
@@ -171,8 +181,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = {m: c * v for m, v in self.coeffs.items()} if c else {}
+            c = _coefficient(other)
+            out = {m: canon(c * v) for m, v in self.coeffs.items()} if c else {}
             return Polynomial._trusted(out, self.names, self.mode)
         mode = self._check_compat(other)
         out: dict[Monomial, Fraction] = {}
@@ -185,7 +195,7 @@ class Polynomial:
                     out[m] = c1 * c2
         # filtering once at the end keeps the insertion order of the
         # surviving monomials independent of transient cancellations
-        return Polynomial._trusted({m: c for m, c in out.items() if c},
+        return Polynomial._trusted({m: canon(c) for m, c in out.items() if c},
                                    self.names, mode)
 
     def __rmul__(self, other):
@@ -210,7 +220,7 @@ class Polynomial:
                     out[m] += c1 * c2
                 else:
                     out[m] = c1 * c2
-        return Polynomial._trusted({m: c for m, c in out.items() if c},
+        return Polynomial._trusted({m: canon(c) for m, c in out.items() if c},
                                    self.names, mode)
 
     def __pow__(self, k: int):
@@ -246,13 +256,13 @@ class Polynomial:
         for m, c in self.coeffs.items():
             e = m[i]
             if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+                out[m[:i] + (e - 1,) + m[i + 1:]] = canon(c * e)
         return Polynomial._trusted(out, self.names, self.mode)
 
     def theta(self, i: int) -> "Polynomial":
         """Logarithmic derivative z_i * d/dz_i (exponent-preserving)."""
-        return Polynomial._trusted({m: c * m[i] for m, c in self.coeffs.items() if m[i]},
-                                   self.names, self.mode)
+        return Polynomial._trusted({m: canon(c * m[i]) for m, c in self.coeffs.items()
+                                    if m[i]}, self.names, self.mode)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.diff(i) for i in range(self.nvars)]
@@ -309,7 +319,8 @@ class Polynomial:
                     term = pw[e] if term is one else term.mul_trunc(pw[e], nt)
             for m2, c2 in term.coeffs.items():
                 out[m2] = out[m2] + c * c2 if m2 in out else c * c2
-        return Polynomial._trusted({m: c for m, c in out.items() if c}, names, "poly")
+        return Polynomial._trusted({m: canon(c) for m, c in out.items() if c},
+                                   names, "poly")
 
     # -- printing ----------------------------------------------------------
 

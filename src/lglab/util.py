@@ -1,4 +1,14 @@
-"""Small shared helpers: exact-rational JSON encoding and misc formatting."""
+"""Small shared helpers: the canonical form of exact rationals, exact
+rational linear algebra, JSON encoding and misc formatting.
+
+The exact half keeps an integral rational as an ``int`` and any other
+rational as a ``Fraction`` whose denominator exceeds 1 (``canon``).  An
+``int`` product costs nanoseconds where a ``Fraction`` product costs
+microseconds, and about half the products the exact half forms have two
+integral operands.  The one division of a coefficient by a coefficient,
+in ``groebner.divide``, goes through ``Fraction`` so that two ints never
+divide to a float.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +22,13 @@ class PrecondError(ValueError):
 
 class ComputeError(RuntimeError):
     """A computation failed to reach its goal (CLI exit code 1)."""
+
+
+def canon(x):
+    """x in canonical form: an integral Fraction becomes its int; an int,
+    a Fraction with a denominator above 1, or a non-rational value (such
+    as complex) is returned as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 # -- exact rational linear algebra -------------------------------------------
@@ -57,7 +74,8 @@ def invert_exact(A: list[list[Fraction]]) -> list[list[Fraction]] | None:
 
 
 def solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over Fraction (free variables zero), or None."""
+    """One solution of A x = b over the rationals (free variables zero), or
+    None.  The entries of the solution are in canonical form."""
     if not A:
         return [] if all(x == 0 for x in b) else None
     aug = [list(row) + [bv] for row, bv in zip(A, b)]
@@ -66,11 +84,11 @@ def solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | 
     for row in red:
         if all(x == 0 for x in row[:-1]) and row[-1] != 0:
             return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for i, col in enumerate(pivots):
         if col == ncols:
             return None  # pivot in the augmented column: inconsistent
-        x[col] = red[i][-1]
+        x[col] = canon(red[i][-1])
     return x
 
 
@@ -91,8 +109,8 @@ def cofactor_det(M):
     return det(list(range(n)), list(range(n)))
 
 
-def frac_str(x: Fraction) -> str:
-    """Render a Fraction as 'p' or 'p/q'."""
+def frac_str(x: Fraction | int) -> str:
+    """Render a rational as 'p' or 'p/q'."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -100,8 +118,10 @@ def frac_str(x: Fraction) -> str:
 def jsonable(obj):
     """Recursively convert Fractions (and complex) into JSON-safe values.
 
-    Fractions become 'p/q' strings so round trips stay exact; complex
-    numbers become [re, im] pairs; dict keys are stringified.
+    Fractions become 'p/q' strings so round trips stay exact; ints pass
+    through as JSON numbers, so a report that wants an integral rational
+    as the string 'p' formats it with ``frac_str`` first; complex numbers
+    become [re, im] pairs; dict keys are stringified.
     """
     if isinstance(obj, Fraction):
         return frac_str(obj)

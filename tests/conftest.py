@@ -1,4 +1,14 @@
-"""Shared pytest hooks: a one-line pass/fail digest for the acceptance suite."""
+"""Shared pytest hooks: a one-line pass/fail digest for the acceptance suite.
+
+The de Rham goldens pin ARPACK output bits, which depend on the number of
+OpenBLAS threads; they were recorded with two.  NumPy is not yet loaded
+when this file is, so setting the count here holds for the whole test run
+on any host.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
 
 _ACCEPTANCE = {}
 

@@ -237,7 +237,8 @@ def _operands(draw, count):
 
 def _assert_canonical(r: Polynomial, nvars: int):
     for m, c in r.coeffs.items():
-        assert type(c) is Fraction and c != 0
+        # an integral coefficient is an int, any other a Fraction
+        assert (type(c) is int or type(c) is Fraction and c.denominator > 1) and c != 0
         assert type(m) is tuple and len(m) == nvars
         assert all(type(e) is int for e in m)
     assert Polynomial(dict(r.coeffs), r.names, r.mode) == r
