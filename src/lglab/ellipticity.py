@@ -110,8 +110,8 @@ class NewtonPolytope:
 def _hull_coords(point: Monomial, origin: Monomial,
                  basis: list[Monomial]) -> list[Fraction] | None:
     """Coordinates of point within the affine hull, or None if outside it."""
-    diff = [Fraction(a - b) for a, b in zip(point, origin)]
-    A = [[Fraction(v[i]) for v in basis] for i in range(len(point))]
+    diff = [a - b for a, b in zip(point, origin)]
+    A = [[v[i] for v in basis] for i in range(len(point))]
     return _solve_exact(A, diff)
 
 

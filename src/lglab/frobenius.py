@@ -44,6 +44,7 @@ constructions require a quasi-homogeneous base point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,6 +97,12 @@ class Unfolding:
     def mu(self) -> int:
         return len(self.phis)
 
+    @functools.cached_property
+    def dphi(self) -> list[list[Polynomial]]:
+        """dphi[a][i] = d phi_a / d z_i, formed once per unfolding."""
+        return [[Polynomial.monomial(phi, 1, self.f.names).diff(i)
+                 for i in range(len(self.f.names))] for phi in self.phis]
+
 
 def universal_unfolding(f: Polynomial) -> Unfolding:
     ring = milnor_ring(f)
@@ -126,8 +133,7 @@ def family_normal_form(U: Unfolding, g: Polynomial, nt: int) -> list[Polynomial]
         if sum(tm) <= nt:
             layers.setdefault(tm, {})[m[:n]] = c
     work = {tm: Polynomial._trusted(zc, znames, "poly") for tm, zc in layers.items()}
-    dphi = [[Polynomial.monomial(phi, 1, znames).diff(i) for i in range(n)]
-            for phi in U.phis]
+    dphi = U.dphi
     out: list[dict[Monomial, Fraction]] = [{} for _ in range(U.mu)]
     for deg in range(nt + 1):
         for tm in sorted(m for m in work if sum(m) == deg):
@@ -455,8 +461,11 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
             contractions[key] = acc
         return contractions[key]
 
+    pair = [[(min(a, b), max(a, b)) for b in range(mu)] for a in range(mu)]
+
     def cls(a, b, c, d):
-        return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
+        k1, k2 = pair[a][b], pair[c][d]
+        return (k1, k2) if k1 <= k2 else (k2, k1)
 
     # the residual of (a, b, c, d) is C(k1) - C(k2): zero when the classes
     # are equal, and the same up to sign for (k1, k2) and (k2, k1), so each

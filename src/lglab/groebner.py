@@ -33,6 +33,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,7 +59,7 @@ def leading_term(p: Polynomial) -> tuple[Monomial, Fraction | int]:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return not any(map(operator.gt, a, b))
 
 
 def _quot(a: Monomial, b: Monomial) -> Monomial:
@@ -120,12 +121,13 @@ def divide(g: Polynomial, divisors: list[Polynomial],
 
 def _combined_row(row: list[Polynomial], qs: list[Polynomial],
                   rows: list[list[Polynomial]]) -> list[Polynomial]:
-    """row + sum_k qs[k] * rows[k] over the nonzero qs[k].  With ``row``
-    the cofactor row of a division's dividend and ``qs`` its quotients
-    negated, this is the cofactor row of the remainder."""
+    """row + sum_k qs[k] * rows[k] over the nonzero qs[k] and the nonzero
+    entries of rows[k].  With ``row`` the cofactor row of a division's
+    dividend and ``qs`` its quotients negated, this is the cofactor row of
+    the remainder."""
     for q, other in zip(qs, rows):
-        if not q.is_zero():
-            row = [a + q * b for a, b in zip(row, other)]
+        if q.coeffs:
+            row = [a + q * b if b.coeffs else a for a, b in zip(row, other)]
     return row
 
 

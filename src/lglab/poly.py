@@ -7,6 +7,13 @@ entries, each rational in the canonical form of ``util.canon``: an
 Two ring modes exist: ``"poly"`` restricts exponents to be nonnegative,
 ``"laurent"`` allows negative exponents.
 
+The binary operators take a ``Polynomial`` or a rational scalar (``int``
+or ``Fraction``), which stands for a constant polynomial.  They test
+``type(other) is Polynomial`` before the scalar ``isinstance``: ``Fraction``
+derives from the abstract ``numbers.Rational``, so testing a polynomial
+against it would go through ``ABCMeta.__instancecheck__`` on every
+product and sum of two polynomials.
+
 The text grammar accepted by :func:`parse_polynomial`, read left to
 right with whitespace ignored:
 
@@ -149,7 +156,7 @@ class Polynomial:
         return "laurent" if "laurent" in (self.mode, other.mode) else "poly"
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.names, self.mode)
         mode = self._check_compat(other)
         out = dict(self.coeffs)
@@ -172,15 +179,27 @@ class Polynomial:
                                    self.names, self.mode)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the values and key order of self + (-other), in one loop
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.names, self.mode)
-        return self.__add__(other.__neg__())
+        mode = self._check_compat(other)
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            if m in out:
+                c = out[m] - c
+                if c:
+                    out[m] = canon(c)
+                else:
+                    del out[m]
+            else:
+                out[m] = -c
+        return Polynomial._trusted(out, self.names, mode)
 
     def __rsub__(self, other):
         return (self.__neg__()).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             c = _coefficient(other)
             out = {m: canon(c * v) for m, v in self.coeffs.items()} if c else {}
             return Polynomial._trusted(out, self.names, self.mode)
@@ -237,10 +256,11 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.names, self.mode)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial.constant(other, self.names, self.mode)
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
         return self.names == other.names and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -251,12 +271,13 @@ class Polynomial:
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i."""
         # m -> m - e_i is injective and a poly-mode term with m[i] > 0 keeps
-        # its exponents nonnegative, so the result is canonical as built
+        # its exponents nonnegative, so the result is canonical as built; an
+        # int times the exponent is an int, so only other products go to canon
         out: dict[Monomial, Fraction] = {}
         for m, c in self.coeffs.items():
             e = m[i]
             if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = canon(c * e)
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e if type(c) is int else canon(c * e)
         return Polynomial._trusted(out, self.names, self.mode)
 
     def theta(self, i: int) -> "Polynomial":
@@ -473,12 +494,12 @@ def infer_weights(f: Polynomial) -> WeightSystem | None:
 
     Returns the unique solution with every q_i in (0,1), or None when the
     linear system is inconsistent, underdetermined, or lands outside that
-    range.  Exact Gaussian elimination over Fraction.
+    range.  Exact Gaussian elimination over the rationals.
     """
     if f.is_zero():
         return None
     n = f.nvars
-    red, pivots = rref([list(map(Fraction, m)) + [Fraction(1)] for m in f.coeffs])
+    red, pivots = rref([list(m) + [1] for m in f.coeffs])
     # a pivot in the right-hand column is an inconsistency, a missing one a
     # free weight: either way there is no unique solution
     if pivots != list(range(n)):

@@ -5,9 +5,14 @@ The exact half keeps an integral rational as an ``int`` and any other
 rational as a ``Fraction`` whose denominator exceeds 1 (``canon``).  An
 ``int`` product costs nanoseconds where a ``Fraction`` product costs
 microseconds, and about half the products the exact half forms have two
-integral operands.  The one division of a coefficient by a coefficient,
-in ``groebner.divide``, goes through ``Fraction`` so that two ints never
-divide to a float.
+integral operands.  Every division of one rational by another, such as
+a factor in ``groebner.divide`` or the pivot scaling of ``rref``, goes
+through ``Fraction`` so that two ints never divide to a float.
+
+``rref`` returns its rows in canonical form whatever form its input is
+in, so ``exact_rank``, ``invert_exact`` and ``solve_exact`` do too: an
+integer matrix stays in ``int`` arithmetic until a pivot other than 1
+has to be divided out.
 """
 
 from __future__ import annotations
@@ -35,8 +40,13 @@ def canon(x):
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form over the rationals; returns (rows, pivot
+    columns), every entry in canonical form.
+
+    A pivot row is scaled only when its pivot is not 1, and a row
+    operation touches only the columns where the pivot row is nonzero, so
+    an integer matrix is eliminated in ints until a pivot divides."""
+    rows = [[canon(x) for x in r] for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -45,12 +55,18 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        if rows[r][col] != 1:
+            # Fraction on the left: int * Fraction would take the reflected
+            # operator, which makes an ABC check on the int
+            inv = Fraction(1) / rows[r][col]
+            rows[r] = [canon(inv * x) for x in rows[r]]
+        support = [(j, b) for j, b in enumerate(rows[r]) if b != 0]
         for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+            f = rows[k][col]
+            if k != r and f != 0:
+                row = rows[k]
+                for j, b in support:
+                    row[j] = canon(row[j] - f * b)
         pivots.append(col)
         r += 1
     return rows, pivots
@@ -63,10 +79,10 @@ def exact_rank(rows: list[list[Fraction]]) -> int:
 
 
 def invert_exact(A: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square rational matrix, or None if singular."""
+    """Exact inverse of a square matrix of ints and Fractions, or None if
+    singular; the entries of the inverse are in canonical form."""
     n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
@@ -88,7 +104,7 @@ def solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | 
     for i, col in enumerate(pivots):
         if col == ncols:
             return None  # pivot in the augmented column: inconsistent
-        x[col] = canon(red[i][-1])
+        x[col] = red[i][-1]
     return x
 
 

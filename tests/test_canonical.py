@@ -1,7 +1,11 @@
 """The canonical form of rationals across the exact half: an integral
 value is an int and any other a Fraction with a denominator above 1, so
-no float appears, not even where two integer coefficients divide."""
+no float appears, not even where two integer coefficients divide.  Also
+the operand dispatch of ``Polynomial``'s binary operators: a polynomial
+operand takes no ABC instance check, and a scalar one gives what its
+constant polynomial gives."""
 
+import abc
 import functools
 from fractions import Fraction
 
@@ -23,8 +27,8 @@ def _assert_coefficients_canonical(*polys):
         assert all(_canonical(c) and c != 0 for c in p.coeffs.values()), p.coeffs
 
 
-def _assert_no_float(rows):
-    assert all(type(x) in (int, Fraction) for row in rows for x in row), rows
+def _assert_entries_canonical(rows):
+    assert all(_canonical(x) for row in rows for x in row), rows
 
 
 _NAMES = ("x", "y")
@@ -93,19 +97,88 @@ def test_reduction_coordinates_and_certificate(text, series):
     assert all(_canonical(x) for row in L.residue_matrix() for x in row)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(_INT, min_size=n, max_size=n), min_size=n, max_size=n),
-    st.lists(_INT, min_size=n, max_size=n))))
-def test_exact_linear_algebra_on_integer_matrices(system):
-    A, b = system
+_FRACTION = st.fractions(-3, 3, max_denominator=4)
+
+
+def _systems(entries):
+    """A square matrix of size 1-4 and a right-hand side, drawn from
+    ``entries``."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(entries, min_size=n, max_size=n)))
+
+
+def _check_exact_linear_algebra(A, b):
     red, _ = rref(A)
-    _assert_no_float(red)
+    _assert_entries_canonical(red)
     assert type(exact_rank(A)) is int
     inv = invert_exact(A)
     if inv is not None:
-        _assert_no_float(inv)
+        _assert_entries_canonical(inv)
+        n = len(A)
+        assert [[sum(A[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
     x = solve_exact(A, b)
     if x is not None:
         assert all(_canonical(v) for v in x), x
         assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems(_INT))
+def test_exact_linear_algebra_on_integer_matrices(system):
+    _check_exact_linear_algebra(*system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems(st.one_of(_INT, _FRACTION, _INT.map(Fraction))))
+def test_exact_linear_algebra_on_fraction_matrices(system):
+    """Integral Fractions in the input come out as ints."""
+    _check_exact_linear_algebra(*system)
+
+
+def test_polynomial_operands_take_no_abc_instance_check(monkeypatch):
+    """Integer coefficients keep the coefficient arithmetic itself free of
+    ABC checks (``int + Fraction`` goes through ``Fraction.__radd__``,
+    which tests ``numbers.Rational``), so every call counted here would
+    come from the operand dispatch."""
+    p = Polynomial({(2, 0): 1, (1, 1): 3, (0, 0): -2}, _NAMES)
+    q = Polynomial({(0, 3): 1, (1, 0): -1, (0, 0): 2, (1, 1): -3}, _NAMES)
+    calls = []
+    instancecheck = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        calls.append((cls, type(instance)))
+        return instancecheck(cls, instance)
+
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    results = [p + q, p - q, p * q, p == q]
+    assert calls == [] and results[-1] is False
+    # the counter sees an ABC check where one is made
+    assert not isinstance(p, Fraction)
+    assert calls == [(Fraction, Polynomial)]
+
+
+def _terms(p: Polynomial) -> list:
+    """The coefficients of p in dict order, with their types."""
+    return [(m, type(c), c) for m, c in p.coeffs.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_polys(2),
+       st.one_of(_INT, _FRACTION, _int_polys(1).map(lambda ps: ps[0] * Fraction(1, 2))))
+def test_scalar_operands_act_as_their_constant_polynomial(polys, c):
+    """Each operator on an int, a Fraction or a Polynomial ``c`` gives the
+    result of the explicit route through ``Polynomial.constant``, with
+    subtraction as adding the negation (``c - p`` for a scalar c is
+    ``-p + c``): the same terms, coefficient types and dict order."""
+    p, q = polys
+    scalar = type(c) is not Polynomial
+    C = Polynomial.constant(c, _NAMES) if scalar else c
+    for got, want in [(p - q, p + (-q)), (q - p, q + (-p)), (p + c, p + C),
+                      (p - c, p + (-C)), (c - p, -p + C if scalar else C + (-p)),
+                      (p * c, p * C)]:
+        assert _terms(got) == _terms(want)
+        assert (got.names, got.mode) == (want.names, want.mode)
+    assert (p == c) == (p == C)
+    assert p == p + 0 and (p == c) == (p - c == 0)
