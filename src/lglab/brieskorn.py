@@ -340,8 +340,8 @@ class BrieskornLattice:
         """Rewrite a function-valued u-series as coordinates on the Milnor
         basis plus an exact coboundary certificate.
 
-        Accepts a Polynomial, a PVField concentrated in degree zero, or a
-        dict {u-power: Polynomial}.  Returns (element, eta) with::
+        Accepts a Polynomial or a dict {u-power: Polynomial}.  Returns
+        (element, eta) with::
 
             input - (contraction + u*divergence)(eta) == element
 
@@ -384,10 +384,6 @@ class BrieskornLattice:
     def _coerce_series(self, g, N: int) -> dict[int, Polynomial]:
         if isinstance(g, Polynomial):
             return {0: g}
-        if isinstance(g, PVField):
-            if set(g.parts) - {()}:
-                raise PrecondError("reduction applies to degree-zero fields only")
-            return {0: g.function_part()}
         if isinstance(g, dict):
             return {int(k): v for k, v in g.items() if k <= N}
         raise TypeError(f"cannot reduce object of type {type(g).__name__}")

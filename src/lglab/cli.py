@@ -47,21 +47,23 @@ def _boolean(text: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
-# the settings a config file or a flag may give, with the reader of each;
-# a setting given by neither keeps the default of its RunConfig field
-_CONVERTERS = {
-    "f": str,
-    "vars": str,
-    "laurent": _boolean,
-    "order": int,
-    "t_order": int,
-    "grid": int,
-    "radius": float,
-    "tol": float,
-    "seed": int,
-    "out": str,
-    "plot_dir": str,
+# the settings a config file or a flag may give, with the reader of each
+# and its help; a setting given by neither keeps the default of its
+# RunConfig field.  A report records every setting but where it is written.
+_SETTINGS = {
+    "f": (str, "polynomial text"),
+    "vars": (str, "comma-separated variable names"),
+    "laurent": (_boolean, "allow negative exponents"),
+    "order": (int, "u-series truncation order"),
+    "t_order": (int, "deformation-parameter truncation order"),
+    "grid": (int, "grid points per axis"),
+    "radius": (float, "grid half-width"),
+    "tol": (float, "kernel-counting threshold"),
+    "seed": (int, "random seed for probe vectors"),
+    "out": (str, "write JSON report here"),
+    "plot_dir": (str, "write CSV plot data into this directory"),
 }
+_DESTINATIONS = ("out", "plot_dir")
 
 
 class UsageError(ValueError):
@@ -85,18 +87,10 @@ class RunConfig:
     explicit: frozenset = frozenset()
 
     def describe(self) -> dict:
-        return {
-            "command": self.command,
-            "f": self.f,
-            "vars": list(self.vars) if self.vars else None,
-            "laurent": self.laurent,
-            "order": self.order,
-            "t_order": self.t_order,
-            "grid": self.grid,
-            "radius": self.radius,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        settings = {key: getattr(self, key) for key in _SETTINGS
+                    if key not in _DESTINATIONS}
+        settings["vars"] = list(self.vars) if self.vars else None
+        return {"command": self.command, **settings}
 
 
 @dataclass
@@ -138,10 +132,10 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONVERTERS:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            values[key] = _CONVERTERS[key](val.strip())
+            values[key] = _SETTINGS[key][0](val.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
@@ -166,27 +160,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "verify":
             p.add_argument("poly", nargs="?", default=None,
                            help="polynomial text (alternative to --f)")
-        p.add_argument("--f", dest="f", default=None,
-                       help="polynomial text")
-        p.add_argument("--vars", default=None,
-                       help="comma-separated variable names")
-        p.add_argument("--laurent", action="store_true", default=None,
-                       help="allow negative exponents")
-        p.add_argument("--order", type=int, default=None,
-                       help="u-series truncation order")
-        p.add_argument("--t-order", type=int, default=None, dest="t_order",
-                       help="deformation-parameter truncation order")
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid points per axis")
-        p.add_argument("--radius", type=float, default=None,
-                       help="grid half-width")
-        p.add_argument("--tol", type=float, default=None,
-                       help="kernel-counting threshold")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed for probe vectors")
-        p.add_argument("--out", default=None, help="write JSON report here")
-        p.add_argument("--plot-dir", default=None, dest="plot_dir",
-                       help="write CSV plot data into this directory")
+        for key, (reader, helptext) in _SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            if reader is _boolean:  # a flag switches it on
+                p.add_argument(flag, action="store_true", default=None,
+                               help=helptext)
+            else:
+                p.add_argument(flag, type=reader, default=None, help=helptext)
         p.add_argument("--config", default=None,
                        help="key = value settings file")
     return parser
@@ -197,7 +177,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     file_values = _read_config_file(ns.config) if ns.config else {}
     given = {}
-    for key in _CONVERTERS:
+    for key in _SETTINGS:
         flag = getattr(ns, key, None)
         if flag is not None:
             given[key] = flag

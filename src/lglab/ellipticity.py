@@ -334,11 +334,11 @@ def check_laurent_nondegenerate(f: Polynomial, seed: int = 0) -> EllipticityRepo
 
 GROWTH_DIRECTIONS = 64  # sampled directions per sphere
 GROWTH_EPS = 0.1  # the eps of the sampled margin eps*|grad f|^k - |grad^k f|
+GROWTH_K_MAX = 3  # the margin is sampled for k = 2 .. GROWTH_K_MAX
+GROWTH_RADII = (2.0, 4.0, 8.0, 16.0, 32.0)  # sphere radii, increasing
 
 
-def numeric_growth_table(f: Polynomial, k_max: int = 3,
-                         radii: tuple = (2.0, 4.0, 8.0, 16.0, 32.0),
-                         seed: int = 0) -> EllipticityReport:
+def numeric_growth_table(f: Polynomial, seed: int = 0) -> EllipticityReport:
     """Sample eps*|grad f|^k - |grad^k f| over spheres of growing radius.
 
     Laurent inputs are probed in logarithmic coordinates (derivatives
@@ -348,10 +348,6 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
     k-row is positive and strictly increasing over the last three radii;
     numeric evidence is never promoted to Satisfied.
     """
-    if k_max < 2:
-        raise PrecondError("k_max must be at least 2")
-    if not radii:
-        raise PrecondError("need at least one radius")
     laurent = f.mode == "laurent"
     n = f.nvars
 
@@ -360,7 +356,7 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
 
     # derivative tensors per order: list of (multinomial weight, polynomial)
     tensors: dict[int, list[tuple[float, Polynomial]]] = {}
-    for k in range(1, k_max + 1):
+    for k in range(1, GROWTH_K_MAX + 1):
         entries = []
         for alpha in itertools.product(range(k + 1), repeat=n):
             if sum(alpha) != k:
@@ -395,8 +391,8 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
             return r * dirs[idx]
 
     rows: list[tuple[int, float, float]] = []
-    for k in range(2, k_max + 1):
-        for r in radii:
+    for k in range(2, GROWTH_K_MAX + 1):
+        for r in GROWTH_RADII:
             margins = []
             for idx in range(GROWTH_DIRECTIONS):
                 z = point(r, idx)
@@ -406,9 +402,8 @@ def numeric_growth_table(f: Polynomial, k_max: int = 3,
             rows.append((k, float(r), float(min(margins))))
 
     ok = True
-    tail = min(3, len(radii))
-    for k in range(2, k_max + 1):
-        krows = [m for kk, _, m in rows if kk == k][-tail:]
+    for k in range(2, GROWTH_K_MAX + 1):
+        krows = [m for kk, _, m in rows if kk == k][-3:]
         if not all(m > 0 for m in krows):
             ok = False
         if not all(b > a for a, b in zip(krows, krows[1:])):

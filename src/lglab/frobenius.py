@@ -174,15 +174,13 @@ def _normalizer_inverse(U: Unfolding, nt: int) -> Polynomial:
     return series_inverse(family_normal_form(U, _family_hessian(U), nt)[sigma], nt)
 
 
-def family_residue(U: Unfolding, g: Polynomial, nt: int,
-                   _cinv: Polynomial | None = None) -> Polynomial:
+def family_residue(U: Unfolding, g: Polynomial, nt: int) -> Polynomial:
     """Family residue functional as a t-polynomial, normalized so the
     family Hessian determinant has residue mu: the socle coordinate of
     the family normal form of g, times mu / h(t)."""
-    if _cinv is None:
-        _cinv = _normalizer_inverse(U, nt)
+    cinv = _normalizer_inverse(U, nt)
     numer = family_normal_form(U, g, nt)[_socle_index(U)]
-    return numer.mul_trunc(_cinv, nt) * U.ring.mu
+    return numer.mul_trunc(cinv, nt) * U.ring.mu
 
 
 def _family_hessian(U: Unfolding) -> Polynomial:
@@ -422,11 +420,11 @@ def build_flat_potential(U: Unfolding, nt: int = 5) -> FrobeniusData:
     return FrobeniusData(U, nt, eta0, t_of_s, potential, euler)
 
 
-def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
+def wdvv_residual(D: FrobeniusData) -> Fraction:
     """Max absolute coefficient of the associativity residual
-    sum_{e,f} F_abe eta^{ef} F_fcd - (b <-> c), truncated in t-order,
-    as a Fraction even when integral, which ``jsonable`` writes as a
-    string ('0', not the number 0).
+    sum_{e,f} F_abe eta^{ef} F_fcd - (b <-> c), truncated at the
+    potential's t-order, as a Fraction even when integral, which
+    ``jsonable`` writes as a string ('0', not the number 0).
 
     F_abc is symmetric in its three indices and eta^{ef} in its two, so the
     contraction C(ab, cd) is unchanged by a <-> b, c <-> d and ab <-> cd:
@@ -434,13 +432,9 @@ def wdvv_residual(D: FrobeniusData, nt: int | None = None) -> Fraction:
     contraction once per class {sorted(a, b), sorted(c, d)}, and each
     difference of contractions once per unordered pair of distinct classes.
     """
-    nt = D.nt if nt is None else nt
-    if nt > D.nt:
-        raise PrecondError(f"WDVV residual to t-order {nt} needs a potential "
-                           f"built to that order; this one has t-order {D.nt}")
-    mu = D.unfolding.mu
+    nt, mu = D.nt, D.unfolding.mu
     inv = invert_exact(D.eta0)
-    third = {t: truncate(D.third_derivatives(*t), nt)
+    third = {t: D.third_derivatives(*t)
              for t in itertools.combinations_with_replacement(range(mu), 3)}
 
     def F(a, b, c):

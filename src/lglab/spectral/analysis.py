@@ -532,21 +532,20 @@ class SplittingSeries:
 
     coefficients: list
     residuals: list
-    truncation_tail: float
     harmonic_defect: float
 
 
 def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
-                  orders: int = 5, backend: str = "spectral",
+                  orders: int = 5,
                   context: SpectralContext | None = None) -> SplittingSeries:
     """Lift a harmonic degree-1 form φ to s(φ) = Σ uᵏ s_k with
     (twisted + u·holomorphic) s(φ) = 0 through the requested order.
 
     Each order solves the positive-definite top-degree Laplacian, so the
     correction s_k is automatically coexact and the recursion is
-    canonical.  Requires φ harmonic to ``HARMONIC_TOL``."""
-    ctx = context if context is not None else SpectralContext(
-        f, grid, backend=backend)
+    canonical.  Requires φ harmonic to ``HARMONIC_TOL``.  Without a
+    context, one is built on the ``fd1`` backend."""
+    ctx = context if context is not None else SpectralContext(f, grid)
     grid = ctx.grid
     if form.grid != grid:
         raise PrecondError("form grid does not match the context grid")
@@ -558,7 +557,7 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
     if scale == 0.0:
         zero = DiscreteForm(grid)
         return SplittingSeries([zero] * (orders + 1), [0.0] * (orders + 1),
-                               0.0, 0.0)
+                               0.0)
     defect = float(np.sqrt(
         sla.norm(A1 @ s0) ** 2 + sla.norm(A0.conj().T @ s0) ** 2
     ) / scale)
@@ -580,13 +579,12 @@ def splitting_map(f: Polynomial, grid: Grid, form: DiscreteForm,
         residuals.append(float(sla.norm(A1 @ sk - rhs)))
         coeffs.append(sk)
         prev = sk
-    tail = float(sla.norm(P1 @ prev))
     forms = [DiscreteForm.unpack(grid, DEGREE_SECTORS[1], c) for c in coeffs]
     return SplittingSeries(coefficients=forms, residuals=residuals,
-                           truncation_tail=tail, harmonic_defect=defect)
+                           harmonic_defect=defect)
 
 
-def pairing_series(alpha, beta, twist: bool = True) -> list:
+def pairing_series(alpha, beta) -> list:
     """Formal-parameter expansion of the residue-type pairing of two
     u-series of forms: coefficient k collects Σ_{i+j=k} (−1)^j ∫αᵢ∧β̃ⱼ."""
     if not alpha or not beta:
@@ -594,7 +592,7 @@ def pairing_series(alpha, beta, twist: bool = True) -> list:
     out = [0j] * (len(alpha) + len(beta) - 1)
     for i, a in enumerate(alpha):
         for j, b in enumerate(beta):
-            out[i + j] += (-1) ** j * wedge_pairing(a, b, twist=twist)
+            out[i + j] += (-1) ** j * wedge_pairing(a, b, twist=True)
     return out
 
 

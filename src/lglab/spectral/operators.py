@@ -280,29 +280,30 @@ class Operators:
         key = ("sector", flavor)
         if key in self._mat_cache:
             return self._mat_cache[key]
-        if flavor not in _FLAVORS:
-            raise PrecondError(f"unknown operator flavor {flavor!r}")
-        if "base" not in self._mat_cache:
-            eye = sp.identity(self.grid.points, format="csr")
-            DX = sp.kron(self.D, eye, format="csr")
-            DY = sp.kron(eye, self.D, format="csr")
-            self._mat_cache["base"] = ((0.5 * (DX - 1j * DY)).tocsr(),
-                                       (0.5 * (DX + 1j * DY)).tocsr())
-        Dz, Dzb = self._mat_cache["base"]
-        has_dz, has_dzb, w1s, w2s = _FLAVORS[flavor]
-
-        def block(use_D, Dmat, spec):
-            total = Dmat if use_D else sp.csr_matrix(Dmat.shape, dtype=complex)
-            if spec is not None:
-                total = total + sp.diags(self._wfield(spec).ravel()).tocsr()
-            return total
-
-        to_c1 = block(has_dz, Dz, w1s)
-        to_c2 = block(has_dzb, Dzb, w2s)
+        to_c1, to_c2 = (self._block_matrix(*b) for b in self._blocks(flavor))
         A0 = (_RAISE * sp.vstack([to_c1, to_c2])).tocsr()
         A1 = (_RAISE * sp.hstack([-to_c2, to_c1])).tocsr()
         self._mat_cache[key] = (A0, A1)
         return A0, A1
+
+    def _block_matrix(self, D, sign, w) -> sp.csr_matrix:
+        """A raising block of ``_blocks`` as a grid matrix: ½(D⊗I +
+        sign·I⊗D) plus the diagonal of w, with the derivative part built
+        once per sign."""
+        n = self.grid.points
+        if D is None:
+            total = sp.csr_matrix((n * n, n * n), dtype=complex)
+        else:
+            key = ("derivative", sign)
+            if key not in self._mat_cache:
+                eye = sp.identity(n, format="csr")
+                DX = sp.kron(D, eye, format="csr")
+                DY = sp.kron(eye, D, format="csr")
+                self._mat_cache[key] = (0.5 * (DX + sign * DY)).tocsr()
+            total = self._mat_cache[key]
+        if w is not None:
+            total = total + sp.diags(w.ravel()).tocsr()
+        return total
 
     def laplacian_matrix(self, flavor: str, degree: int) -> sp.csr_matrix:
         """The flavor's Laplacian in one degree, as CSR.  Where the backend

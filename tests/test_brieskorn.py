@@ -324,7 +324,7 @@ class TestReduction:
     def test_rejects_vector_input(self):
         L = BrieskornLattice(Pz("z^3/3"))
         bad = PVField.generator((0,), Pz("z"))
-        with pytest.raises(PrecondError):
+        with pytest.raises(TypeError):
             L.reduce(bad)
 
 
@@ -436,3 +436,59 @@ class TestConnection:
         L = BrieskornLattice(P("x^3 + y^3", ("x", "y")), order=4)
         text = json.dumps(jsonable(L.describe()))
         assert "milnor_number" in text
+
+
+# -- Thom-Sebastiani: a sum in separate variables is the tensor product ------
+
+
+def _one_variable(draw, mu):
+    """A polynomial of degree mu + 1 in one variable, so its Milnor number
+    is mu; lower terms may vanish (quasi-homogeneous) or not."""
+    lead = draw(st.sampled_from((-1, 1))) * draw(
+        st.fractions(Fraction(1, 4), 3, max_denominator=4))
+    return {k: draw(st.fractions(-3, 3, max_denominator=4))
+            for k in range(mu + 1)} | {mu + 1: lead}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_thom_sebastiani_sum_is_the_tensor_product(data):
+    # for f = g(x) + h(y): the Milnor basis is the product basis, the
+    # residue matrix the Kronecker product of the factors' (entries matched
+    # by monomial, not by position), and the reduction of x^a*y^b the
+    # u-convolution of the one-variable reductions of x^a and y^b
+    order = 4
+    g = _one_variable(data.draw, data.draw(st.integers(1, 4)))
+    h = _one_variable(data.draw, data.draw(st.integers(1, 4)))
+    Lg = BrieskornLattice(Polynomial({(k,): c for k, c in g.items()}, ("x",)),
+                          order=order)
+    Lh = BrieskornLattice(Polynomial({(k,): c for k, c in h.items()}, ("y",)),
+                          order=order)
+    f = Polynomial({(k, 0): c for k, c in g.items()}, ("x", "y")) + \
+        Polynomial({(0, k): c for k, c in h.items()}, ("x", "y"))
+    L = BrieskornLattice(f, order=order)
+    assert L.mu == Lg.mu * Lh.mu
+    assert sorted(L.ring.basis) == sorted(
+        (i, j) for (i,) in Lg.ring.basis for (j,) in Lh.ring.basis)
+
+    at_g = {m: p for p, m in enumerate(Lg.ring.basis)}
+    at_h = {m: p for p, m in enumerate(Lh.ring.basis)}
+    pos = [(at_g[i,], at_h[j,]) for i, j in L.ring.basis]
+    Rg, Rh, R = Lg.residue_matrix(), Lh.residue_matrix(), L.residue_matrix()
+    for p, (pg, ph) in enumerate(pos):
+        for q, (qg, qh) in enumerate(pos):
+            assert R[p][q] == Rg[pg][qg] * Rh[ph][qh], (p, q)
+
+    a, b = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    vg = Lg.reduce(Polynomial({(a,): 1}, ("x",))).coords
+    vh = Lh.reduce(Polynomial({(b,): 1}, ("y",))).coords
+    want = {}
+    for k, v in vg.items():
+        for l, w in vh.items():
+            if k + l <= order:
+                row = want.setdefault(k + l, [0] * L.mu)
+                for p, (pg, ph) in enumerate(pos):
+                    row[p] += v[pg] * w[ph]
+    want = LatticeElement({k: tuple(row) for k, row in want.items()}, order)
+    got = L.reduce(Polynomial({(a, b): 1}, ("x", "y")))
+    assert got.coords == want.coords, (a, b)

@@ -175,17 +175,20 @@ class TestLaurentNondegeneracy:
 
 class TestNumericGrowth:
     def test_quadratic_margin_closed_form(self):
-        rep = numeric_growth_table(P("z^2/2", ("z",)), k_max=2)
+        # on the sphere of radius r: |f'| = r, |f''| = 1 and f''' = 0
+        rep = numeric_growth_table(P("z^2/2", ("z",)))
         assert rep.verdict == LIKELY
+        assert {k for k, _, _ in rep.table} == {2, 3}
         for k, r, m in rep.table:
-            assert abs(m - (0.1 * r * r - 1.0)) < 1e-9
+            want = 0.1 * r * r - 1.0 if k == 2 else 0.1 * r ** 3
+            assert abs(m - want) < 1e-9
 
     def test_linear_fails(self):
-        rep = numeric_growth_table(P("z", ("z",)), k_max=2)
+        rep = numeric_growth_table(P("z", ("z",)))
         assert rep.verdict == UNKNOWN
 
     def test_laurent_log_coordinates(self):
-        rep = numeric_growth_table(P("z + z^-1", ("z",), laurent=True), k_max=2)
+        rep = numeric_growth_table(P("z + z^-1", ("z",), laurent=True))
         assert rep.verdict == LIKELY
 
     def test_symbolic_implies_numeric(self):
@@ -195,14 +198,8 @@ class TestNumericGrowth:
             assert check_quasihomogeneous_ellipticity(f).verdict == SATISFIED
             assert numeric_growth_table(f).verdict == LIKELY, text
 
-    def test_preconditions(self):
-        with pytest.raises(PrecondError):
-            numeric_growth_table(P("z^2/2", ("z",)), k_max=1)
-        with pytest.raises(PrecondError):
-            numeric_growth_table(P("z^2/2", ("z",)), radii=())
-
     def test_csv_shape(self):
-        rep = numeric_growth_table(P("z^3/3", ("z",)), k_max=3)
+        rep = numeric_growth_table(P("z^3/3", ("z",)))
         csv = growth_table_csv(rep)
         lines = csv.strip().split("\n")
         assert lines[0] == "k,radius,min_margin"

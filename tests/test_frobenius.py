@@ -453,8 +453,6 @@ def test_lowered_tensor_is_totally_symmetric():
     nt = 4
     c = family_multiplication(U, nt)
     eta = family_metric(U, nt)
-    from lglab.frobenius import _normalizer_inverse
-    cinv = _normalizer_inverse(U, nt)
     mu = U.mu
     for a in range(mu):
         for b in range(mu):
@@ -465,7 +463,7 @@ def test_lowered_tensor_is_totally_symmetric():
                 triple = Polynomial.monomial(
                     tuple(x + y + w for x, y, w in
                           zip(U.phis[a], U.phis[b], U.phis[d])), 1, U.f.names)
-                direct = family_residue(U, triple, nt, _cinv=cinv)
+                direct = family_residue(U, triple, nt)
                 assert low == direct
 
 
@@ -488,39 +486,35 @@ def test_describe_is_json_ready():
 
 def test_wdvv_vanishes_for_the_cubic():
     D = build_flat_potential(unfold("z^3/3"), nt=6)
-    assert wdvv_residual(D, 6) == 0
+    assert wdvv_residual(D) == 0
 
 
 def test_wdvv_vanishes_for_the_quartic():
     D = build_flat_potential(unfold("z^4/4"), nt=5)
-    assert wdvv_residual(D, 5) == 0
+    assert wdvv_residual(D) == 0
 
 
 def test_wdvv_vanishes_for_two_variable_sum_of_cubes():
     D = build_flat_potential(unfold("x^3+y^3", ("x", "y")), nt=4)
-    assert wdvv_residual(D, 4) == 0
+    assert wdvv_residual(D) == 0
 
 
 def test_wdvv_detects_a_broken_potential():
     D = build_flat_potential(unfold("z^4/4"), nt=5)
     D.potential = D.potential + parse_polynomial("s1^2*s2^3", ("s0", "s1", "s2"))
-    assert wdvv_residual(D, 5) != 0
+    assert wdvv_residual(D) != 0
 
 
 @pytest.mark.parametrize("src,names", [("z^4/4", None), ("x^3+y^4", ("x", "y"))])
-def test_wdvv_residual_refuses_an_order_past_the_potential(src, names):
-    # the potential carries no information beyond its own t-order, so a
-    # residual there would be nonzero for a valid potential
-    D = build_flat_potential(unfold(src, names), nt=1)
-    with pytest.raises(PrecondError, match="t-order 2.*t-order 1"):
-        wdvv_residual(D, 2)
-    assert wdvv_residual(D, 1) == wdvv_residual(D, 0) == 0
+def test_wdvv_residual_vanishes_at_t_orders_zero_and_one(src, names):
+    for nt in (0, 1):
+        assert wdvv_residual(build_flat_potential(unfold(src, names), nt=nt)) == 0
 
 
-def _plain_wdvv_residual(D, nt):
-    """The associativity residual with every index written out: no symmetry
-    of F_abc or eta^{ef} is used."""
-    mu = D.unfolding.mu
+def _plain_wdvv_residual(D):
+    """The associativity residual at the potential's t-order with every
+    index written out: no symmetry of F_abc or eta^{ef} is used."""
+    nt, mu = D.nt, D.unfolding.mu
     inv = invert_exact(D.eta0)
     idx = range(mu)
     F = {t: truncate(D.potential.diff(t[0]).diff(t[1]).diff(t[2]), nt)
@@ -539,13 +533,13 @@ def _plain_wdvv_residual(D, nt):
 def test_wdvv_residual_matches_the_all_index_contraction():
     D = build_flat_potential(unfold("x^2*y+y^4", ("x", "y")), nt=2)
     flat = D.potential
-    assert wdvv_residual(D, 2) == _plain_wdvv_residual(D, 2) == 0
+    assert wdvv_residual(D) == _plain_wdvv_residual(D) == 0
     # each breaks associativity only through terms with mixed indices
     for extra in ("s0*s1^2*s3", "s1*s2*s3*s4"):
         D.potential = flat + parse_polynomial(extra, flat.names)
-        broken = wdvv_residual(D, 2)
+        broken = wdvv_residual(D)
         assert broken != 0
-        assert broken == _plain_wdvv_residual(D, 2)
+        assert broken == _plain_wdvv_residual(D)
 
 
 _FLAT = {src: build_flat_potential(unfold(src, names), nt=1)
@@ -564,4 +558,4 @@ def test_wdvv_residual_matches_the_all_index_contraction_on_random_potentials(da
                                       max_size=3))
     broken = FrobeniusData(**{**vars(D), "potential":
                               D.potential + Polynomial(extra, snames)})
-    assert wdvv_residual(broken, 1) == _plain_wdvv_residual(broken, 1)
+    assert wdvv_residual(broken) == _plain_wdvv_residual(broken)

@@ -941,8 +941,7 @@ def test_hodge_rejects_mismatched_grids():
 
 def test_splitting_of_zero_is_the_zero_series():
     grid = build_grid(4.5, 33)
-    series = splitting_map(F3, grid, DiscreteForm(grid), orders=3,
-                           backend="spectral")
+    series = splitting_map(F3, grid, DiscreteForm(grid), orders=3)
     assert len(series.coefficients) == 4
     assert all(norm(c) == 0.0 for c in series.coefficients)
     assert series.residuals == [0.0, 0.0, 0.0, 0.0]
