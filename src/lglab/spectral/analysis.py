@@ -622,49 +622,46 @@ def smooth_cutoff(grid: Grid, inner_radius: float,
 
 class CutoffHomotopy:
     """Localization pair (T, R) built from a plateau cutoff and the
-    pointwise gradient contraction: the anticommutator of the twisted
-    differential with R equals identity minus T, up to a second-order
-    discretization error supported on the cutoff transition."""
+    pointwise gradient contraction V: R = (1−ρ)V, T = ρ + ∂̄ρ∧V, and the
+    anticommutator of the twisted differential with R equals identity
+    minus T, up to a second-order discretization error supported on the
+    cutoff transition.
+
+    R needs no ∂̄-correction of V.  On the grid, ∂̄ has no dz block and V
+    reads only components 1 and 3 (dz, dz∧dz̄) and writes only 0 and 2
+    (function, dz̄), so ∂̄V + V∂̄ writes only the dz̄ component, which V
+    never reads.  In the continuum it vanishes: X = ∂_z/f′ is holomorphic
+    off Crit f, so [∂̄, ι_X] = ι_{∂̄X} = 0."""
 
     def __init__(self, ops: Operators, cutoff: np.ndarray):
         self.ops = ops
         self.rho = cutoff
+        self.outside = 1.0 - cutoff
         self.q = ops.dzbar(cutoff)
 
-    def _corrected(self, a: DiscreteForm) -> DiscreteForm:
-        V = self.ops.gradient_contraction
-        b = self.ops.diff("dbar", V(a)) + V(self.ops.diff("dbar", a))
-        return a - b
-
-    def _contracted(self, a: DiscreteForm) -> DiscreteForm:
-        """V(ψ), the contraction both R and T of ``a`` are built from."""
-        return self.ops.gradient_contraction(self._corrected(a))
-
-    def _tail(self, Vpsi: DiscreteForm) -> DiscreteForm:
-        return Vpsi.multiply_pointwise(1.0 - self.rho)
-
-    def _localize(self, a: DiscreteForm, Vpsi: DiscreteForm) -> DiscreteForm:
+    def _localize(self, a: DiscreteForm, Va: DiscreteForm) -> DiscreteForm:
         out = a.multiply_pointwise(self.rho)
-        out.comps[2] = out.comps[2] + self.q * Vpsi.comps[0]
-        out.comps[3] = out.comps[3] - self.q * Vpsi.comps[1]
+        out.comps[2] = out.comps[2] + self.q * Va.comps[0]
+        out.comps[3] = out.comps[3] - self.q * Va.comps[1]
         return out
 
     def tail(self, a: DiscreteForm) -> DiscreteForm:
         """R: degree-lowering correction supported off the plateau."""
-        return self._tail(self._contracted(a))
+        return self.ops.gradient_contraction(a).multiply_pointwise(
+            self.outside)
 
     def localize(self, a: DiscreteForm) -> DiscreteForm:
         """T: the localized remainder (cutoff multiple plus transition)."""
-        return self._localize(a, self._contracted(a))
+        return self._localize(a, self.ops.gradient_contraction(a))
 
     def identity_residual(self, a: DiscreteForm) -> DiscreteForm:
         d = self.ops.diff
-        # R of the differential first, and V(ψ) dropped early: no more
-        # grid-sized forms are alive at once than with V(ψ) computed twice
+        # two differentials: ∂̄_f of R a and R of ∂̄_f a; V(a) serves both
+        # R a and T a and is dropped before the second differential
         Rda = self.tail(d("dbar_f", a))
-        Vpsi = self._contracted(a)
-        Ra, Ta = self._tail(Vpsi), self._localize(a, Vpsi)
-        del Vpsi
+        Va = self.ops.gradient_contraction(a)
+        Ra, Ta = Va.multiply_pointwise(self.outside), self._localize(a, Va)
+        del Va
         return d("dbar_f", Ra) + Rda - a + Ta
 
 
@@ -681,7 +678,10 @@ def homotopy_identity_check(f: Polynomial, grid: Grid,
 
     Returns per-level worst relative residuals and their level-to-level
     ratios (≈ 4 for a second-order scheme), plus the residual on a probe
-    supported deep inside the plateau (rounding level)."""
+    supported deep inside the plateau (rounding level).  ``levels`` < 1
+    is refused with ``PrecondError``."""
+    if levels < 1:
+        raise PrecondError(f"levels must be at least 1, got {levels}")
     inner, outer = (r * grid.half_width for r in HOMOTOPY_RADII)
     rng = np.random.default_rng(HOMOTOPY_SEED)
     width = (outer - inner) / 3.0

@@ -134,6 +134,10 @@ _FLAVORS = {
     "d_2Ref": (True, True, "fp", "fbp"),
 }
 
+# the pointwise weight fields the specs name, each built only when asked for
+_WFIELDS = {"fp": lambda ops: ops.fp, "fp/2": lambda ops: ops.fp / 2,
+            "fbp": lambda ops: ops.fbp, "-fbp": lambda ops: -ops.fbp}
+
 
 class Operators:
     """All grid operators for one (f, grid, backend) triple."""
@@ -165,12 +169,6 @@ class Operators:
         self._DT = self.D.T.tocsr()
         self._mat_cache: dict = {}
 
-    # -- pointwise fields ----------------------------------------------------
-
-    def _wfield(self, spec: str) -> np.ndarray:
-        return {"fp": self.fp, "fp/2": self.fp / 2, "fbp": self.fbp,
-                "-fbp": -self.fbp}[spec]
-
     # -- 1D derivatives of scalar fields ------------------------------------
 
     def dx(self, g: np.ndarray) -> np.ndarray:
@@ -201,7 +199,7 @@ class Operators:
         D = self._DT if adjoint else self.D
         blocks = []
         for use_D, sign, spec in ((has_dz, -1j, w1s), (has_dzb, 1j, w2s)):
-            w = None if spec is None else self._wfield(spec)
+            w = None if spec is None else _WFIELDS[spec](self)
             if adjoint:
                 sign, w = -sign, None if w is None else np.conj(w)
             blocks.append((D if use_D else None, sign, w))

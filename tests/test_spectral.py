@@ -1056,6 +1056,52 @@ def test_homotopy_check_builds_no_grid_matrix():
     assert peak < 45 * 2**20
 
 
+@pytest.mark.parametrize("levels", [0, -2])
+def test_homotopy_check_refuses_fewer_than_one_level(levels):
+    with pytest.raises(PrecondError):
+        homotopy_identity_check(F2, build_grid(4.0, 33), levels=levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.one_of(st.none(), st.dictionaries(
+           st.integers(0, 4), st.integers(-3, 3).filter(bool), max_size=4)),
+       backend=st.sampled_from(["fd1", "fd2", "spectral"]),
+       points=st.sampled_from([17, 19, 21, 23, 25]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dbar_commutator_with_the_contraction_writes_only_the_dzbar_block(
+        coeffs, backend, points, seed):
+    # why CutoffHomotopy contracts a itself: ∂̄V + V∂̄ lands in the dz̄
+    # component only, and V never reads that component
+    f = None if coeffs is None else Polynomial(
+        {(e,): c for e, c in coeffs.items()}, ("z",))
+    grid = build_grid(3.0, points)
+    ops = Operators(grid, f, backend)
+    rng = np.random.default_rng(seed)
+    shape = (4, points, points)
+    a = DiscreteForm(grid, rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))
+    V = ops.gradient_contraction
+    b = ops.diff("dbar", V(a)) + V(ops.diff("dbar", a))
+    assert not np.any(b.comps[[0, 1, 3]])
+
+
+def test_identity_residual_applies_two_differentials(monkeypatch):
+    grid = build_grid(4.0, 33)
+    homotopy = analysis.CutoffHomotopy(Operators(grid, F2, "fd2"),
+                                       smooth_cutoff(grid, 1.4, 2.4))
+    calls = []
+    diff = Operators.diff
+
+    def counted(self, flavor, a):
+        calls.append(flavor)
+        return diff(self, flavor, a)
+
+    monkeypatch.setattr(Operators, "diff", counted)
+    homotopy.identity_residual(gaussian_form(grid, 2.0, 1.9,
+                                             components=(0, 1, 2, 3)))
+    assert calls == ["dbar_f", "dbar_f"]
+
+
 # -- comparison with the full twisted exterior derivative ---------------------------
 
 
