@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .groebner import groebner_basis, milnor_ring
 from .poly import Monomial, Polynomial, PolyError, infer_weights
 from .util import PrecondError, exact_rank as _rank, rref as _rref, solve_exact as _solve_exact
@@ -245,6 +243,8 @@ NEWTON_TOL = 1e-10  # residual at which a Newton start has converged
 
 def _newton_witness_search(system: list[Polynomial], nvars: int, seed: int):
     """Damped Gauss-Newton from random torus starts; returns a witness or None."""
+    import numpy as np  # here, so the exact routes start without NumPy
+
     rng = np.random.default_rng(seed)
     derivs = [[s.diff(i) for i in range(nvars)] for s in system]
 
@@ -348,6 +348,8 @@ def numeric_growth_table(f: Polynomial, seed: int = 0) -> EllipticityReport:
     k-row is positive and strictly increasing over the last three radii;
     numeric evidence is never promoted to Satisfied.
     """
+    import numpy as np  # here, so the exact routes start without NumPy
+
     laurent = f.mode == "laurent"
     n = f.nvars
 

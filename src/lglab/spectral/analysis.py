@@ -12,16 +12,12 @@ Eigenproblems are matrix problems on the scaled flat vectors of
 ``forms.pack``, where the standard dot product equals the weighted L²
 product, so an ordinary Hermitian eigensolve is the right tool.  Every
 backend uses the same shift-invert ARPACK call followed by one
-Rayleigh–Ritz pass; only the factorization behind the shift-invert
-(``_factor``) differs, SuperLU for the finite-difference backends and
-LAPACK LU of a dense copy for the ``spectral`` one.  Every Laplacian is
-held as CSR, so every product with one is a sparse product.  SuperLU
-runs in symmetric mode: minimum-degree ordering of A+Aᵀ with diagonal
-pivots, which is safe because every factored matrix is Hermitian PSD
-plus a positive shift, and which fills about a third less than the
-default unsymmetric ordering.  The ordering and the pivot rule must be
-set together; minimum degree with partial pivoting factors several
-times slower.  All randomness is seeded, and eigenvector phases are
+Rayleigh–Ritz pass.  Every factorization behind a shift-invert or a
+solve is ``Operators.factor``, the one factorization policy: SuperLU in
+symmetric mode for the finite-difference backends and LAPACK LU of a
+dense copy for the ``spectral`` one, both of L + SHIFT·I.  Every
+Laplacian is held as CSR, so every product with one is a sparse
+product.  All randomness is seeded, and eigenvector phases are
 normalized, so repeated runs give identical output.
 
 ARPACK runs only where a spectrum is reported.  A ``SpectralContext``
@@ -61,7 +57,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.blas as blas
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..poly import Polynomial
@@ -69,11 +64,10 @@ from ..util import ComputeError, PrecondError
 from .forms import DEGREE_SECTORS, DiscreteForm, inner, norm
 from .forms import wedge_pairing
 from .grid import Grid, build_grid, refine
-from .operators import Operators, parity
+from .operators import SHIFT, Operators, parity
 
 DEFAULT_GAP_THRESHOLD = 1e-3
 GAP_RATIO = 100.0  # certification: first excluded / last included
-SHIFT = 1e-6  # every factorization is of M + SHIFT·I
 CONTEXT_FLAVOR = "dbar_f"  # the Laplacian a SpectralContext serves
 GREEN_REFINEMENTS = 3  # iterative-refinement passes of a Green solve
 HARMONIC_TOL = 1e-8  # harmonic defect a splitting-map input may have
@@ -106,34 +100,6 @@ def _project(K: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _gemm(K, _gemm(K, X, trans=2))
 
 
-def _factor(M: sp.csr_matrix, dense: bool = False):
-    """Solver for (M + SHIFT·I) x = b, M a CSR Laplacian: SuperLU, or
-    with ``dense`` (``Operators.dense_factor``, the ``spectral`` backend)
-    LAPACK LU of one Fortran-ordered dense copy, factored in place.  The
-    choice is the backend's, not M's density: the 41² ``spectral``
-    degree-1 Laplacian is 4.8% nonzero, and sending it to SuperLU
-    slowed the C04 lift at 41² from 2.5 to 5.2 s (2-core host).
-
-    SuperLU orders by minimum degree on A+Aᵀ, with diagonal pivots, in
-    symmetric mode.  Every M here is Hermitian PSD and the shift is
-    positive, so no pivoting is needed and one ordering serves rows and
-    columns alike (``perm_r == perm_c``).  The three settings go
-    together: minimum degree without ``SymmetricMode`` fills less than
-    the default COLAMD but factors 6–19× slower (``d_f`` at 129²), and
-    symmetric mode without ``diag_pivot_thresh=0`` still pivots off the
-    diagonal."""
-    n = M.shape[0]
-    if not dense:
-        return spla.splu(
-            (M + SHIFT * sp.identity(n, dtype=complex, format="csr")).tocsc(),
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-            options={"SymmetricMode": True}).solve
-    shifted = M.toarray(order="F")
-    shifted.flat[::n + 1] += SHIFT
-    lu = sla.lu_factor(shifted, overwrite_a=True)
-    return lambda b: sla.lu_solve(lu, b)
-
-
 def _rayleigh_ritz(M, X: np.ndarray):
     """Ritz pairs of Hermitian M in span(X), values ascending; overwrites X."""
     Q = sla.qr(X, mode="economic", overwrite_a=True)[0]
@@ -146,7 +112,7 @@ def _rayleigh_ritz(M, X: np.ndarray):
 
 def _lowest_pairs(M, solve, k: int, seed: int):
     """Lowest k eigenpairs of a Hermitian PSD matrix (vals ascending),
-    with ``solve`` the ``_factor`` solver of M.
+    with ``solve`` the ``Operators.factor`` solver of M.
 
     Returns (vals, vecs, residuals, wanted): ``wanted`` is k clamped to the
     matrix size; fewer than ``wanted`` pairs come back when ARPACK stops
@@ -228,7 +194,7 @@ class SpectralResult:
 def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
     """Orthonormal Ritz vectors spanning the eigenvectors of M, Hermitian
     PSD, with eigenvalues below ``DEFAULT_GAP_THRESHOLD``; ``solve`` is
-    the ``_factor`` solver of M.
+    the ``Operators.factor`` solver of M.
 
     Block inverse iteration from ``KERNEL_BLOCK`` seeded columns: each
     step solves on the block, orthonormalizes it, and takes the Ritz
@@ -284,9 +250,8 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
     Laplacian, solved and flagged unreliable."""
     _require_twist(f)
     ops = operators if operators is not None else Operators(grid, f, backend)
-    M = ops.laplacian_matrix(flavor, degree)
     return _spectrum(ops, flavor, degree, k, seed, gap_threshold,
-                     _factor(M, ops.dense_factor))
+                     ops.factor(flavor, degree))
 
 
 def _require_twist(f: Polynomial | None) -> None:
@@ -298,7 +263,7 @@ def _require_twist(f: Polynomial | None) -> None:
 def _spectrum(ops: Operators, flavor: str, degree: int, k: int, seed: int,
               gap_threshold: float, solve) -> SpectralResult:
     """``eigensolve_lowest`` on built operators, with ``solve`` the
-    ``_factor`` solver of the Laplacian."""
+    ``Operators.factor`` solver of the Laplacian."""
     M = ops.laplacian_matrix(flavor, degree)
     vals, vecs, res, wanted = _lowest_pairs(M, solve, k, seed)
     del solve  # a factor made for this solve alone is freed here
@@ -430,16 +395,13 @@ class SpectralContext:
     def solver(self, degree: int):
         """Degrees 0 and 2: the cached factor; degree 1: a new one per call."""
         if degree == 1:
-            return _factor(self.ops.laplacian_matrix(CONTEXT_FLAVOR, 1),
-                           self.ops.dense_factor)
+            return self.ops.factor(CONTEXT_FLAVOR, 1)
         if degree not in self._solve:
             twin = self._solve.get(2 - degree) if self._mirrored else None
             if twin is not None:
                 self._solve[degree] = lambda b: _reflect(twin(_reflect(b)))
             else:
-                self._solve[degree] = _factor(
-                    self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree),
-                    self.ops.dense_factor)
+                self._solve[degree] = self.ops.factor(CONTEXT_FLAVOR, degree)
         return self._solve[degree]
 
     def green(self, degree: int, b: np.ndarray) -> np.ndarray:
@@ -751,13 +713,6 @@ def _paired_subspace(K_fwd: np.ndarray, K_bwd: np.ndarray) -> np.ndarray:
     return _gemm(Q, V[:, w > PAIR_KEEP_THRESHOLD])
 
 
-def _reflected(f: Polynomial) -> Polynomial:
-    """f(−z): the coefficients of odd degree negated."""
-    return Polynomial._trusted(
-        {m: -c if m[0] % 2 else c for m, c in f.coeffs.items()},
-        f.names, f.mode)
-
-
 _DERHAM_FLAVORS = ("dbar_f", "dbar_f_half", "d_f")
 DERHAM_K = 8  # eigenpairs per degree-1 solve of the comparison
 
@@ -812,7 +767,6 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
                                 seed=seed, flavor=flavor, operators=ops)
         describes[flavor] = res.describe()
         bases[flavor] = [res.vectors[:, :res.kernel_dim]]
-    phase = np.exp(-1j * ops.f_values.imag).ravel()
     del ops  # its matrices are not needed during the solves on g
     n = grid.points ** 2
     reflected = []
@@ -820,9 +774,11 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     for flavor, sign in _mirror_signs(f).items():
         if sign is None:
             if mirror is None:
-                mirror = Operators(grid, _reflected(f), "fd1")
-            M = mirror.laplacian_matrix(flavor, 1)
-            K = _kernel_by_inverse_iteration(M, _factor(M), seed)
+                g = f.subs([-Polynomial.variable(0, f.names)])  # f(−z)
+                mirror = Operators(grid, g, "fd1")
+            K = _kernel_by_inverse_iteration(
+                mirror.laplacian_matrix(flavor, 1), mirror.factor(flavor, 1),
+                seed)
         else:
             K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
             reflected.append(flavor)
@@ -831,6 +787,7 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
             K.reshape(2, n, K.shape[1])[:, ::-1].reshape(K.shape))
     K_dol, K_mid, K_dr = (_paired_subspace(*pair) for pair in bases.values())
 
+    phase = np.exp(-1j * f.eval_complex((grid.z,)).imag).ravel()
     halve_dz = np.concatenate([0.5 * np.ones(n), np.ones(n)])
     phase2 = np.concatenate([phase, phase])
 

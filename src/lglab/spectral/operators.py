@@ -45,11 +45,15 @@ same spec is assembled once per flavor into the sparse matrices of
 ``sector_matrices`` (Kronecker products D⊗I and I⊗D), which serve only
 the Laplacian matrices, ``analysis.hodge_decompose`` and
 ``analysis.splitting_map``; a test holds the two forms equal to
-rounding.  Every Laplacian is CSR.  For "spectral" the blocks hold
-O(m³) entries, and ``analysis._factor`` factors that Laplacian dense,
-as the backend's choice, because a sparse LU of it fills in to about
-two thirds of the dense size and SuperLU factors it 2–11× slower than
-LAPACK factors the dense matrix.
+rounding.  Every Laplacian is CSR.
+
+``Operators.factor`` is the one factorization policy: every solve of a
+Laplacian L anywhere in the package goes through its solver of
+L + SHIFT·I.  The finite-difference backends go to SuperLU in symmetric
+mode.  For "spectral" the blocks hold O(m³) entries, and the Laplacian
+is factored dense, as the backend's choice, because a sparse LU of it
+fills in to about two thirds of the dense size and SuperLU factors it
+2–11× slower than LAPACK factors the dense matrix.
 
 Adjoints are constructed, never discretized: starred operators apply
 the transposed derivative matrix and the conjugate weights, which is
@@ -62,7 +66,9 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ..poly import Polynomial
 from ..util import PrecondError
@@ -70,8 +76,9 @@ from .forms import DiscreteForm
 from .grid import Grid
 
 _RAISE = np.sqrt(2.0)  # uniform scale factor of degree-raising blocks
-# Refuse a Laplacian whose dense LU copy, the one ``analysis._factor``
-# makes for a ``dense_factor`` backend, would exceed this: the degree-1
+SHIFT = 1e-6  # every factorization is of L + SHIFT·I
+# Refuse a Laplacian whose dense LU copy, the one ``Operators.factor``
+# makes on the "spectral" backend, would exceed this: the degree-1
 # spectral Laplacian fits at 41² (172 MiB) and up to 63², and is refused
 # from 65² on (81²: 2.75 GB).
 DENSE_BYTES_LIMIT = 2**30
@@ -96,13 +103,6 @@ def derivative_matrix_spectral(m: int, h: float) -> np.ndarray:
         D = (np.pi / period) * ((-1.0) ** off) / np.sin(np.pi * off / m)
     np.fill_diagonal(D, 0.0)
     return D
-
-
-def _sample(p: Polynomial, Z: np.ndarray) -> np.ndarray:
-    out = np.zeros(Z.shape, dtype=complex)
-    for m, c in p.coeffs.items():
-        out += complex(c) * (Z ** m[0] if m[0] else np.ones_like(Z))
-    return out
 
 
 def parity(f: Polynomial | None) -> int | None:
@@ -134,9 +134,12 @@ _FLAVORS = {
     "d_2Ref": (True, True, "fp", "fbp"),
 }
 
-# the pointwise weight fields the specs name, each built only when asked for
+# the pointwise weight fields the specs name, each built only when asked
+# for, and the spec of each field's conjugate, which the adjoints use
 _WFIELDS = {"fp": lambda ops: ops.fp, "fp/2": lambda ops: ops.fp / 2,
-            "fbp": lambda ops: ops.fbp, "-fbp": lambda ops: -ops.fbp}
+            "fbp": lambda ops: ops.fbp, "-fbp": lambda ops: -ops.fbp,
+            "fbp/2": lambda ops: ops.fbp / 2, "-fp": lambda ops: -ops.fp}
+_CONJUGATE = {"fp": "fbp", "fbp": "fp", "fp/2": "fbp/2", "-fbp": "-fp"}
 
 
 class Operators:
@@ -151,20 +154,15 @@ class Operators:
         self.grid = grid
         self.backend = backend
         self.f = f
-        if f is None:
-            self.fp = np.zeros_like(grid.z)
-            self.f_values = np.zeros_like(grid.z)
-        else:
+        self.fp = np.zeros_like(grid.z)  # a constant f′ fills the grid too
+        if f is not None:
             if len(f.names) != 1:
                 raise PrecondError("grid harness handles one variable only")
             if any(e < 0 for m in f.coeffs for e in m):
                 raise PrecondError(
                     "grid sampling of negative powers hits the origin")
-            self.fp = _sample(f.diff(0), grid.z)
-            self.f_values = _sample(f, grid.z)
+            self.fp += f.diff(0).eval_complex((grid.z,))
         self.fbp = np.conj(self.fp)
-        # the spectral Laplacian is factored dense (see the module docstring)
-        self.dense_factor = backend == "spectral"
         self.D = sp.csr_matrix(_DERIVATIVES[backend](grid.points, grid.h))
         self._DT = self.D.T.tocsr()
         self._mat_cache: dict = {}
@@ -199,9 +197,9 @@ class Operators:
         D = self._DT if adjoint else self.D
         blocks = []
         for use_D, sign, spec in ((has_dz, -1j, w1s), (has_dzb, 1j, w2s)):
-            w = None if spec is None else _WFIELDS[spec](self)
             if adjoint:
-                sign, w = -sign, None if w is None else np.conj(w)
+                sign, spec = -sign, _CONJUGATE.get(spec)
+            w = None if spec is None else _WFIELDS[spec](self)
             blocks.append((D if use_D else None, sign, w))
         return blocks
 
@@ -304,16 +302,16 @@ class Operators:
         return total
 
     def laplacian_matrix(self, flavor: str, degree: int) -> sp.csr_matrix:
-        """The flavor's Laplacian in one degree, as CSR.  Where the backend
-        is factored dense, a Laplacian whose dense LU copy would exceed
-        ``DENSE_BYTES_LIMIT`` is refused with ``PrecondError`` before
-        anything is assembled."""
+        """The flavor's Laplacian in one degree, as CSR.  On "spectral",
+        which ``factor`` factors dense, a Laplacian whose dense LU copy
+        would exceed ``DENSE_BYTES_LIMIT`` is refused with
+        ``PrecondError`` before anything is assembled."""
         key = ("lap", flavor, degree)
         if key in self._mat_cache:
             return self._mat_cache[key]
         if degree not in (0, 1, 2):
             raise PrecondError("degree must be 0, 1, or 2")
-        if self.dense_factor:
+        if self.backend == "spectral":
             n = (2 if degree == 1 else 1) * self.grid.points ** 2
             need = n * n * np.dtype(complex).itemsize
             if need > DENSE_BYTES_LIMIT:
@@ -333,6 +331,34 @@ class Operators:
         M = M.tocsr()
         self._mat_cache[key] = M
         return M
+
+    def factor(self, flavor: str, degree: int):
+        """Solver for (L + SHIFT·I) x = b, L the flavor's Laplacian in one
+        degree: SuperLU, or on "spectral" LAPACK LU of one Fortran-ordered
+        dense copy, factored in place.  The choice is the backend's, not
+        L's density: the 41² "spectral" degree-1 Laplacian is 4.8%
+        nonzero, and sending it to SuperLU slowed the C04 lift at 41² from
+        2.5 to 5.2 s (2-core host).
+
+        SuperLU orders by minimum degree on A+Aᵀ, with diagonal pivots, in
+        symmetric mode.  Every L here is Hermitian PSD and the shift is
+        positive, so no pivoting is needed and one ordering serves rows and
+        columns alike (``perm_r == perm_c``).  The three settings go
+        together: minimum degree without ``SymmetricMode`` fills less than
+        the default COLAMD but factors 6–19× slower (``d_f`` at 129²), and
+        symmetric mode without ``diag_pivot_thresh=0`` still pivots off the
+        diagonal."""
+        M = self.laplacian_matrix(flavor, degree)
+        n = M.shape[0]
+        if self.backend != "spectral":
+            return spla.splu(
+                (M + SHIFT * sp.identity(n, dtype=complex, format="csr")).tocsc(),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True}).solve
+        shifted = M.toarray(order="F")
+        shifted.flat[::n + 1] += SHIFT
+        lu = sla.lu_factor(shifted, overwrite_a=True)
+        return lambda b: sla.lu_solve(lu, b)
 
     def gradient_norm_field(self) -> np.ndarray:
         """|∇f| pointwise (equals √2·|f′| for the flat metric used here)."""

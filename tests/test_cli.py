@@ -1,6 +1,9 @@
 """Command-line surface: config layering, subcommands, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -293,6 +296,25 @@ def test_verify_records_a_check_that_raises(monkeypatch, tmp_path, capsys):
                        "detail": "RuntimeError: no ring"}]
     assert ("groebner:milnor-number failed: RuntimeError: no ring"
             in report["warnings"])
+
+
+def test_exact_commands_start_without_numpy():
+    # NumPy is imported by the numeric routes alone (the growth table, the
+    # Newton witness search and the grid half); a fresh process runs the
+    # exact subcommands without loading it
+    code = ("import contextlib, io, sys\n"
+            "import lglab.cli\n"
+            "for argv in (['analyze', 'x^3+y^4'], ['pairing', 'x^3+y^4'],\n"
+            "             ['frobenius', 'z^3/3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert lglab.cli.main(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_pairing_reports_the_antidiagonal_matrix(tmp_path, capsys):

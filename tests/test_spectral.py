@@ -1,5 +1,6 @@
 """Grid, discrete forms, twisted operators, spectra, Hodge pieces, homotopy."""
 
+import ast
 import csv
 import io
 import json
@@ -41,13 +42,7 @@ from lglab.spectral import (
     write_harmonic_profile_csv,
 )
 from lglab.spectral import analysis, operators
-from lglab.spectral.analysis import (
-    _DERHAM_FLAVORS,
-    SHIFT,
-    _factor,
-    _mirror_signs,
-    _reflected,
-)
+from lglab.spectral.analysis import _DERHAM_FLAVORS, _mirror_signs
 from lglab.spectral.forms import (
     DEGREE_SECTORS,
     conjugate,
@@ -59,6 +54,7 @@ from lglab.spectral.forms import (
 )
 from lglab.spectral.operators import (
     _FLAVORS,
+    SHIFT,
     derivative_matrix_fd1,
     derivative_matrix_fd2,
     derivative_matrix_spectral,
@@ -73,6 +69,7 @@ def Pz(text):
 
 F2 = Pz("z^2/2")
 F3 = Pz("z^3/3")
+Z = Pz("z")  # so f.subs([-Z]) is f(−z)
 
 
 def rel(a: DiscreteForm, b: DiscreteForm) -> float:
@@ -580,7 +577,7 @@ def test_sparse_factor_solves_with_diagonal_pivots():
                 M = ops.laplacian_matrix(flavor, degree)
                 n = M.shape[0]
                 b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                solve = _factor(M)
+                solve = ops.factor(flavor, degree)
                 x = solve(b)
                 A = M + SHIFT * sp.identity(n)
                 backward = np.linalg.norm(A @ x - b) / (
@@ -589,6 +586,27 @@ def test_sparse_factor_solves_with_diagonal_pivots():
                 lu = solve.__self__
                 assert np.array_equal(lu.perm_r, lu.perm_c), (
                     backend, flavor, degree)
+
+
+def test_only_operators_names_the_lu_factorizations():
+    # ``Operators.factor`` is the one factorization policy: no other module
+    # of the package calls SuperLU or LAPACK LU itself
+    lu_names = {"splu", "lu_factor", "lu_solve"}
+    root = Path(operators.__file__).parents[1]
+    naming = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+            else:
+                continue
+            if names & lu_names:
+                naming.add(path.relative_to(root).as_posix())
+    assert naming == {"spectral/operators.py"}
 
 
 @pytest.mark.parametrize("text,mu", [("z^2/2", 1), ("z^3/3", 2),
@@ -692,7 +710,7 @@ def test_degree2_laplacian_is_the_reflected_degree0_one_of_f_at_minus_z(
     f = Pz(text)
     grid = build_grid(4.0, 21)
     ctx = SpectralContext(f, grid, backend=backend)
-    mirror = Operators(grid, _reflected(f), backend)
+    mirror = Operators(grid, f.subs([-Z]), backend)
     L2 = ctx.ops.laplacian_matrix("dbar_f", 2)
     assert _equal_to_rounding(
         _point_reflect(mirror.laplacian_matrix("dbar_f", 0)), L2)
@@ -700,6 +718,51 @@ def test_degree2_laplacian_is_the_reflected_degree0_one_of_f_at_minus_z(
         _point_reflect(ctx.ops.laplacian_matrix("dbar_f", 0)), L2)
     assert mirrored == ctx._mirrored == (parity(f) is not None)
     assert mirrored == (text != MIXED_TEXT)
+
+
+def _mirror_J(f, points):
+    """The antiunitary J(c₁, c₂) = (p·conj(Π c₂), conj(Π c₁)) on degree-1
+    flat vectors, p = parity(f) (1 for mixed f), as the real signed
+    permutation Jm with J x = Jm·conj(x)."""
+    n = points ** 2
+    rev = np.arange(n)[::-1]
+    signs = np.repeat([float(parity(f) or 1), 1.0], n)
+    return sp.csr_matrix((signs, (np.arange(2 * n), np.concatenate(
+        [n + rev, rev]))), shape=(2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("backend", sorted(operators._DERIVATIVES))
+@pytest.mark.parametrize("text", PARITY_TEXTS + ("z^5/5-z^3", MIXED_TEXT))
+def test_mirror_J_commutes_with_the_degree1_laplacians_of_a_parity_f(
+        backend, text):
+    # J L J⁻¹ = Jm·conj(L)·Jmᵀ; J commutes with the Dolbeault flavors for
+    # every parity f, with d_f for odd f only, and with none for mixed f
+    f = Pz(text)
+    grid = build_grid(4.0, 21)
+    ops = Operators(grid, f, backend)
+    Jm = _mirror_J(f, grid.points)
+    assert abs(Jm @ Jm - (parity(f) or 1) * sp.identity(
+        2 * grid.points ** 2)).max() == 0.0  # J² = p
+    for flavor in _DERHAM_FLAVORS:
+        L = ops.laplacian_matrix(flavor, 1)
+        commutator = abs(Jm @ L.conj() @ Jm.T - L).max() / abs(L).max()
+        if parity(f) is None:
+            assert commutator > 1e-2, flavor
+        elif flavor == "d_f" and parity(f) == 1:
+            assert commutator > 1e-3, flavor
+        else:
+            assert commutator <= 1e-13, flavor
+
+
+@pytest.mark.parametrize("text", ("z^3/3", "z^5/5-z^3"))
+def test_odd_f_degree1_eigenvalues_come_in_kramers_pairs(text):
+    # for odd f, J² = −1 and J commutes with the Laplacian, so every
+    # eigenvalue is at least doubly degenerate
+    vals = eigensolve_lowest(Pz(text), build_grid(4.0, 33), k=8,
+                             backend="fd1").eigenvalues
+    assert len(vals) == 8
+    assert np.max(np.abs(np.subtract(vals[0::2], vals[1::2]))) <= 1e-13
+    assert min(np.diff(vals[0::2])) > 1e-2  # and nothing more degenerate
 
 
 def _count_factors_and_arpack_runs(monkeypatch) -> dict:
@@ -711,7 +774,8 @@ def _count_factors_and_arpack_runs(monkeypatch) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(analysis, "_factor", counted("factor", _factor))
+    monkeypatch.setattr(Operators, "factor",
+                        counted("factor", Operators.factor))
     monkeypatch.setattr(analysis, "_lowest_pairs",
                         counted("arpack", analysis._lowest_pairs))
     return calls
@@ -1127,6 +1191,13 @@ def _potential(coeffs):
                                "poly")
 
 
+def _at_minus_z(f):
+    """f(−z) for a ``_potential``, whose coefficients may be complex,
+    which ``Polynomial.subs`` does not take: odd-degree terms negated."""
+    return _potential({m[0]: -c if m[0] % 2 else c
+                       for m, c in f.coeffs.items()})
+
+
 def _random_potential(data, parity, complex_coeffs):
     """A potential of the named parity of its nonconstant exponents; a
     constant term, drawn or not, leaves that parity as it is."""
@@ -1174,7 +1245,7 @@ def test_backward_laplacian_is_the_reflected_laplacian_of_f_at_minus_z(
     f = _random_potential(data, parity, complex_coeffs)
     grid = build_grid(half_width, m)
     bwd = _backward_operators(grid, f)
-    mirror = Operators(grid, _reflected(f), "fd1")
+    mirror = Operators(grid, _at_minus_z(f), "fd1")
     for flavor in _FLAVORS:
         for degree in (0, 1, 2):
             flip = _point_reflection(degree, m)
@@ -1199,7 +1270,7 @@ def test_fd1b_laplacian_is_the_point_reflection_where_parity_allows(
     f = _random_potential(data, parity, complex_coeffs)
     grid = build_grid(half_width, m)
     fwd = Operators(grid, f, "fd1")
-    mirror = Operators(grid, _reflected(f), "fd1")
+    mirror = Operators(grid, _at_minus_z(f), "fd1")
     bwd = _backward_operators(grid, f)
     flip = _point_reflection(1, m)
     signs = _mirror_signs(f)
