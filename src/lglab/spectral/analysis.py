@@ -25,8 +25,11 @@ reads no eigenvalues, only the kernels its Hodge splits and Green solves
 use, and ``derham_compare`` reads none of f(−z).  Those kernels come from
 block inverse iteration on a shifted factor
 (``_kernel_by_inverse_iteration``): two to four solves on a block of
-eight columns, where a k = 8 ARPACK window takes 48–76 single solves
-(fd1 at 65², z²/2 to z⁴/4).  Both end in one ``_rayleigh_ritz`` step.
+μ + 2 columns in degree 1 and 2 in degrees 0 and 2, where μ = deg f − 1
+is the dimension the algebra predicts, and where a k = 8 ARPACK window
+takes 48–76 single solves (fd1 at 65², z²/2 to z⁴/4).  A block that
+fills or does not converge is rerun once on eight columns.  Both end in
+one ``_rayleigh_ritz`` step.
 
 Degree 2 is degree 0 under the point reflection Π: z → −z.  Every
 backend gives L₂[f] = conj(Π·L₀[f(−z)]·Π) (see ``operators``), and
@@ -71,7 +74,7 @@ GAP_RATIO = 100.0  # certification: first excluded / last included
 CONTEXT_FLAVOR = "dbar_f"  # the Laplacian a SpectralContext serves
 GREEN_REFINEMENTS = 3  # iterative-refinement passes of a Green solve
 HARMONIC_TOL = 1e-8  # harmonic defect a splitting-map input may have
-KERNEL_BLOCK = 8  # columns of the inverse iteration behind a context kernel
+KERNEL_BLOCK = 8  # most columns of a kernel inverse iteration: its fallback
 KERNEL_ITERATIONS = 6  # block solves before that iteration gives up
 KERNEL_TOL = 1e-9  # how far a converged kernel span moves in one step
 
@@ -191,27 +194,45 @@ class SpectralResult:
         }
 
 
-def _kernel_by_inverse_iteration(M, solve, seed: int) -> np.ndarray:
+def _kernel_by_inverse_iteration(M, solve, seed: int,
+                                 expected: int) -> np.ndarray:
     """Orthonormal Ritz vectors spanning the eigenvectors of M, Hermitian
     PSD, with eigenvalues below ``DEFAULT_GAP_THRESHOLD``; ``solve`` is
-    the ``Operators.factor`` solver of M.
+    the ``Operators.factor`` solver of M, and ``expected`` the kernel
+    dimension the algebra predicts.
 
-    Block inverse iteration from ``KERNEL_BLOCK`` seeded columns: each
-    step solves on the block, orthonormalizes it, and takes the Ritz
-    pairs of M in its span.  The kernel's values of (M + SHIFT·I)⁻¹ are
-    near 1/SHIFT, and those of the eigenvectors the block cannot hold
-    at most about 1, so each step shrinks the angle between the kept
-    Ritz vectors and the kernel by 10⁴ or more (fd1 and ``spectral``,
-    z²/2 to z⁴/4).  The basis is returned once the count kept has held
-    and the kept span moved by at most ``KERNEL_TOL`` in that step.  The
-    residuals cannot serve as the test: where the first value above the
-    threshold is small (1.3e-2 for the ``spectral`` z⁴/4 at 25²),
-    residuals at rounding level still leave the span 5e-12 off.  A
-    block whose Ritz values all sit below the
-    threshold may miss part of the kernel, so it fails, as does an
-    iteration not done after ``KERNEL_ITERATIONS`` steps."""
+    Block inverse iteration from ``expected`` + 2 seeded columns, at most
+    ``KERNEL_BLOCK``: each step solves on the block, orthonormalizes it,
+    and takes the Ritz pairs of M in its span.  The kernel's values of
+    (M + SHIFT·I)⁻¹ are near 1/SHIFT, and those of the eigenvectors the
+    block cannot hold at most about 1, so each step shrinks the angle
+    between the kept Ritz vectors and the kernel by 10⁴ or more (fd1 and
+    ``spectral``, z²/2 to z⁴/4).  The basis is returned once the count
+    kept has held and the kept span moved by at most ``KERNEL_TOL`` in
+    that step.  The residuals cannot serve as the test: where the first
+    value above the threshold is small (1.3e-2 for the ``spectral`` z⁴/4
+    at 25²), residuals at rounding level still leave the span 5e-12 off.
+    A block whose Ritz values all sit below the threshold may miss part
+    of the kernel, so it fails, as does an iteration not done after
+    ``KERNEL_ITERATIONS`` steps.  A sized block that fails is rerun once
+    on ``KERNEL_BLOCK`` columns, and only that rerun's failure is
+    raised.  The ``spectral`` backend at 25² needs the rerun: two
+    boundary-seam modes fill the 4-column block of z³/3, and the
+    5-column block of z⁴/4 splits a pair at 1.3e-2, against which its
+    4th value, 6.7e-4, gains only a factor of 19 per step."""
+    width = min(expected + 2, KERNEL_BLOCK)
+    if width < KERNEL_BLOCK:
+        try:
+            return _block_inverse_iteration(M, solve, seed, width)
+        except ComputeError:
+            pass
+    return _block_inverse_iteration(M, solve, seed, KERNEL_BLOCK)
+
+
+def _block_inverse_iteration(M, solve, seed: int, width: int) -> np.ndarray:
+    """``_kernel_by_inverse_iteration`` on one block of ``width`` columns."""
     rng = np.random.default_rng(seed)
-    shape = (M.shape[0], KERNEL_BLOCK)
+    shape = (M.shape[0], width)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     K = None
     for _ in range(KERNEL_ITERATIONS):
@@ -254,6 +275,12 @@ def eigensolve_lowest(f: Polynomial | None, grid: Grid, degree: int = 1,
                      ops.factor(flavor, degree))
 
 
+def _milnor(f: Polynomial | None) -> int:
+    """μ = deg f − 1 of a one-variable f (0 for f=None): the dimension
+    of the twisted L² cohomology in degree 1, and nothing in 0 and 2."""
+    return 0 if f is None else max(f.total_degree() - 1, 0)
+
+
 def _require_twist(f: Polynomial | None) -> None:
     if f is not None and all(g.is_zero() for g in f.gradient()):
         raise PrecondError("f is constant: the twist vanishes and nothing "
@@ -266,7 +293,6 @@ def _spectrum(ops: Operators, flavor: str, degree: int, k: int, seed: int,
     ``Operators.factor`` solver of the Laplacian."""
     M = ops.laplacian_matrix(flavor, degree)
     vals, vecs, res, wanted = _lowest_pairs(M, solve, k, seed)
-    del solve  # a factor made for this solve alone is freed here
     vals_list = [float(v) for v in vals]
     notes: list[str] = []
 
@@ -326,9 +352,11 @@ class SpectralContext:
 
     ``kernel_matrix`` runs no eigensolve: block inverse iteration,
     seeded by ``seed``, through the factor of M + SHIFT·I gives the
-    kernel basis (see ``_kernel_by_inverse_iteration``).  In degrees 0
-    and 2 that is the cached ``solver`` factor, which ``green`` uses
-    too; in degree 1 it is a factor made for the iteration and dropped.
+    kernel basis (see ``_kernel_by_inverse_iteration``), on a block
+    sized for μ = deg f − 1 kernel vectors in degree 1 and none in
+    degrees 0 and 2.  In degrees 0 and 2 that is the cached ``solver``
+    factor, which ``green`` uses too; in degree 1 it is a factor made
+    for the iteration and dropped.
     ``eigensolve`` runs ARPACK for callers that read the spectrum, and
     its kernel count and the kernel basis agree (the tests hold their
     projectors equal to 1e-12).
@@ -389,7 +417,8 @@ class SpectralContext:
                 _require_twist(self.f)
                 self._kernel[degree] = _kernel_by_inverse_iteration(
                     self.ops.laplacian_matrix(CONTEXT_FLAVOR, degree),
-                    self.solver(degree), self.seed)
+                    self.solver(degree), self.seed,
+                    _milnor(self.f) if degree == 1 else 0)
         return self._kernel[degree]
 
     def solver(self, degree: int):
@@ -755,7 +784,9 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
     ``reflected_flavors`` names those flavors.  For the others g's kernel,
     whose eigenvalues no report reads, comes from block inverse iteration
     on a factor of L[g] dropped once it is back, not from an eigensolve,
-    and fails if it fills the block; only these build g's operators."""
+    on a block sized for μ = deg f − 1 kernel vectors, and fails if it
+    fills the ``KERNEL_BLOCK`` columns of the rerun; only these build
+    g's operators."""
     if backend != "fd1":
         raise PrecondError(f"derham_compare needs fd1, not {backend!r}")
     if f is None:
@@ -778,7 +809,7 @@ def derham_compare(f: Polynomial, grid: Grid, backend: str = "fd1",
                 mirror = Operators(grid, g, "fd1")
             K = _kernel_by_inverse_iteration(
                 mirror.laplacian_matrix(flavor, 1), mirror.factor(flavor, 1),
-                seed)
+                seed, _milnor(f))
         else:
             K = np.repeat([sign, 1.0], n)[:, None] * bases[flavor][0]
             reflected.append(flavor)

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lglab.poly import Polynomial, parse_polynomial
@@ -837,6 +837,81 @@ def test_a_kernel_iteration_past_its_cap_is_refused(monkeypatch):
     ctx = SpectralContext(F2, build_grid(4.0, 33), backend="fd1")
     with pytest.raises(ComputeError, match="not converged after 2"):
         ctx.kernel_matrix(1)
+
+
+def _record_block_widths(ctx) -> dict:
+    """Wrap ``ctx.solver`` so each block solve logs its column count by
+    degree; a Green solve's single vector is not a block."""
+    widths: dict = {}
+    solver = ctx.solver
+
+    def recording(degree):
+        solve = solver(degree)
+
+        def logged(X):
+            if X.ndim == 2:
+                widths.setdefault(degree, []).append(X.shape[1])
+            return solve(X)
+        return logged
+
+    ctx.solver = recording
+    return widths
+
+
+@pytest.mark.parametrize("points", [33, 65])
+@pytest.mark.parametrize("text,mu", [("z^2/2", 1), ("z^3/3", 2),
+                                     ("z^4/4", 3)])
+def test_context_kernel_blocks_are_sized_by_mu(text, mu, points):
+    # μ + 2 columns in degree 1 and 2 in degree 0, whatever the count the
+    # grid resolves (1 for z⁴/4 at 33²); degree 2 of a parity f is the
+    # reflected degree 0 and solves nothing.  The 65² contexts are the
+    # benchmark's Hodge contexts: none of them reruns on eight columns
+    ctx = SpectralContext(Pz(text), build_grid(4.0, points), backend="fd1")
+    widths = _record_block_widths(ctx)
+    for degree in (0, 1, 2):
+        ctx.kernel_matrix(degree)
+    assert set(widths) == {0, 1}
+    assert set(widths[1]) == {mu + 2} and set(widths[0]) == {2}
+    assert 2 <= len(widths[0]) and 2 <= len(widths[1]) <= 4
+
+
+@pytest.mark.parametrize("text,sized", [("z^3/3", 4), ("z^4/4", 5)])
+def test_a_sized_block_that_fails_reruns_on_eight_columns(text, sized):
+    # spectral at 25²: z³/3's kernel and its two seam modes fill the
+    # 4-column block at the first step; the 5-column block of z⁴/4 runs
+    # all its steps unconverged.  The rerun's kernel is the eigensolve's
+    ctx = SpectralContext(Pz(text), build_grid(4.0, 25), backend="spectral")
+    widths = _record_block_widths(ctx)
+    K = ctx.kernel_matrix(1)
+    steps = 1 if text == "z^3/3" else analysis.KERNEL_ITERATIONS
+    assert widths[1][:steps] == [sized] * steps
+    assert set(widths[1][steps:]) == {analysis.KERNEL_BLOCK}
+    res = ctx.eigensolve(1)
+    assert K.shape[1] == res.kernel_dim == 4
+    angles = sla.subspace_angles(K, res.vectors[:, :res.kernel_dim])
+    assert np.max(angles) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(quarters=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+@example(quarters=[0, 0, 0])  # z⁴/4: count 1 at 33², μ = 3
+@example(quarters=[0, 0, 0, 0])  # z⁵/5: count 2, μ = 4
+def test_a_sized_kernel_block_finds_the_eight_column_kernel(quarters):
+    # zⁿ/n + Σ cₖzᵏ with n = 2–5 one more than the coefficients drawn,
+    # cₖ ∈ ¼ℤ, |cₖ| ≤ 1: the sized block counts what the eight-column
+    # block counts, right or wrong, and spans the same space
+    n = len(quarters) + 1
+    coeffs = {(k,): Fraction(q, 4) for k, q in enumerate(quarters, 1)}
+    f = Polynomial({**coeffs, (n,): Fraction(1, n)}, ("z",))
+    ctx = SpectralContext(f, build_grid(4.0, 33), backend="fd1")
+    for degree in (0, 1, 2):
+        K = ctx.kernel_matrix(degree)
+        K8 = analysis._block_inverse_iteration(
+            ctx.ops.laplacian_matrix("dbar_f", degree), ctx.solver(degree),
+            ctx.seed, analysis.KERNEL_BLOCK)
+        # equal dimensions: ‖KKᴴ − K₈K₈ᴴ‖₂ is the sine of the largest angle
+        assert K.shape[1] == K8.shape[1]
+        assert np.max(sla.subspace_angles(K, K8), initial=0.0) <= 1e-12
 
 
 def test_a_constant_potential_is_refused_before_any_factorization(
